@@ -20,11 +20,10 @@ from .estimator import (EstimatorRow, NoiseBudget, added_noise_spectrum,
                         snr_degradation)
 from .netlist import (NetlistDocument, NetlistParseError, format_netlist,
                       parse_netlist)
-from .network import (ModeCoefficient, NoiseLine, ReactiveMultipole,
-                      ScatteringMap, SpectrumTable, capacitor_impedance,
-                      impedance_matrix, inductor_impedance, port_observables,
-                      propagate_spectra, row_occupation,
-                      scattering_from_impedance)
+from .network import (ModeCoefficient, NoiseLine, ScatteringMap,
+                      SpectrumTable, capacitor_impedance, impedance_matrix,
+                      inductor_impedance, port_observables, propagate_spectra,
+                      row_occupation, scattering_from_impedance)
 from .spectra import (effective_temperature, johnson_nyquist_classical,
                       johnson_nyquist_voltage_psd, symmetrized_occupation)
 
@@ -42,7 +41,7 @@ __all__ = [
     "EstimatorRow", "NoiseBudget", "added_noise_spectrum",
     "integrate_budget", "normalize_estimator", "snr_degradation",
     "NetlistDocument", "NetlistParseError", "format_netlist", "parse_netlist",
-    "ModeCoefficient", "NoiseLine", "ReactiveMultipole", "ScatteringMap",
+    "ModeCoefficient", "NoiseLine", "ScatteringMap",
     "SpectrumTable", "capacitor_impedance", "impedance_matrix",
     "inductor_impedance", "port_observables", "propagate_spectra",
     "row_occupation", "scattering_from_impedance",

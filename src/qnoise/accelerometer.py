@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .amplifier import IdealOpAmp, opamp_scattering, recombine_noise_sources
+from .amplifier import IdealOpAmp, opamp_scattering
 from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
 from .estimator import EstimatorRow, NoiseBudget, added_noise_spectrum, \
@@ -158,8 +158,8 @@ class AccelerometerModel:
         })
 
     def estimator_row(self, omega: Optional[float] = None) -> EstimatorRow:
-        """Force estimator at measurement frequency omega, normalized to
-        unit gain on the external force.
+        """Force estimator at measurement frequency omega (a number, or an
+        array over a sweep), normalized to unit gain on the external force.
 
         The closed-loop readout is proportional to
         (F_ext + F_n + Z_m n_v) / (Z_m + H_loop); normalizing by the
@@ -177,6 +177,8 @@ class AccelerometerModel:
         return normalize_estimator(raw, 1.0 / z_t, units="kg m s^-2")
 
     def budget(self, omega: Optional[float] = None) -> NoiseBudget:
+        """Force-referred noise budget at omega (default: the measurement
+        frequency); an array of omega gives terms over the sweep."""
         return added_noise_spectrum(self.estimator_row(omega),
                                     self.spectrum_table())
 
@@ -210,17 +212,13 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     ideal.
     """
     cfg = config
-    w_t = cfg.carrier_omega
-    sigma_amp = K_B * cfg.amp_temperature / (HBAR * w_t)
-    pair = recombine_noise_sources(cfg.amp_impedance, sigma_amp, sigma_amp, w_t)
     c_f = cfg.c_feedback
     amp = IdealOpAmp(
         r_left=cfg.amp_impedance,
         r_right=cfg.r_readout,
         z_feedback=lambda w: capacitor_impedance(c_f, w),
-        noise=pair,
     )
-    smap = opamp_scattering(amp, cfg.amp_impedance, w_t,
+    smap = opamp_scattering(amp, cfg.amp_impedance, cfg.carrier_omega,
                             labels=(LINE_IN, LINE_OUT, AMP_A, AMP_AC))
     row = smap.row(LINE_OUT)
     c_signal = row[LINE_IN].amplitude  # readout gain on the input line field

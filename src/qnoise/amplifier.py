@@ -83,22 +83,25 @@ class OpAmpNoisePair:
 @dataclass(frozen=True)
 class IdealOpAmp:
     """Ideal op-amp: left line r_left, right line r_right (ohm), reactive
-    feedback impedance z_feedback(omega), and its noise pair."""
+    feedback impedance z_feedback(omega), and optionally its noise pair."""
 
     r_left: float
     r_right: float
     z_feedback: Callable[[float], complex]
-    noise: OpAmpNoisePair
+    noise: Optional[OpAmpNoisePair] = None
 
     def __post_init__(self):
         if self.r_left <= 0.0 or self.r_right <= 0.0:
             raise DomainError("line impedances must be positive")
 
     def feedback_at(self, omega: float) -> complex:
-        zf = complex(self.z_feedback(omega))
-        if abs(zf) > 0.0 and abs(zf.real) > TOL_REACTIVE * abs(zf):
-            raise ModelError(f"feedback impedance {zf} is not reactive")
-        return zf
+        """Feedback impedance at omega (a number, or an array over a sweep)."""
+        zf = np.asarray(self.z_feedback(omega), dtype=complex)
+        bad = np.abs(zf.real) > TOL_REACTIVE * np.abs(zf)
+        if np.any(bad):
+            raise ModelError(f"feedback impedance {zf[bad][0]} is not "
+                             "reactive")
+        return complex(zf) if zf.ndim == 0 else zf
 
 
 def amplify_mode(stage: GainStage, omega: float,
@@ -120,7 +123,8 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
                      omega: float,
                      labels: Tuple[str, str, str, str] = ("l", "r", "a", "a_conj"),
                      ) -> ScatteringMap:
-    """Scattering rows of the ideal op-amp over lines (l, r, a, a').
+    """Scattering rows of the ideal op-amp over lines (l, r, a, a'); an
+    array of omega gives amplitudes with a leading frequency axis.
 
     l_out = -l_in + sqrt(R/R_l) (a - a'^dagger); r_out carries the signal
     gain -2 Z_f / sqrt(R_r R_l) on l_in, -1 on r_in, and the
@@ -137,10 +141,10 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     p = np.sqrt(r / rr) * (rl + zf) / rl
     q = zf / np.sqrt(r * rr)
     lab_l, lab_r, lab_a, lab_ac = labels
-    amp_mat = np.array([
-        [-1.0, 0.0, c_l_a, -c_l_a],
-        [-2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q)],
-    ], dtype=complex)
+    entries = np.broadcast_arrays(
+        -1.0, 0.0, c_l_a, -c_l_a,
+        -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q))
+    amp_mat = np.stack(entries, axis=-1).reshape(np.shape(zf) + (2, 4))
     conj = np.array([
         [False, False, False, True],
         [False, False, False, True],

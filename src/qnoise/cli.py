@@ -8,11 +8,18 @@ spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
 occupation budget); the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-Exit codes: 0 success, 1 parse error, 2 numeric/model error.
+The library functions take omega as a number or as an array over the whole
+sweep; with an array, scattering amplitudes, estimator coefficients and
+budget terms carry a leading frequency axis.  `run` calls each layer once
+per sweep and solves the passive network once for all its measures.
+
+Exit codes: 0 success, 1 parse error, 2 numeric/model error (including a
+budget that would contain a non-finite cell; nothing is written then).
 """
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -23,22 +30,27 @@ import numpy as np
 
 from .accelerometer import (MUSCOPE, AccelerometerConfig,
                             build_accelerometer, sensitivity_report)
-from .amplifier import IdealOpAmp, opamp_scattering, recombine_noise_sources
+from .amplifier import IdealOpAmp, opamp_scattering
 from .constants import HBAR, K_B
 from .errors import QNoiseError
 from .estimator import NoiseBudget, added_noise_spectrum, integrate_budget, \
     normalize_estimator
-from .netlist import (MeasureDecl, NetlistDocument,
+from .netlist import (PRESET_KEYS, MeasureDecl, NetlistDocument,
                       NetlistParseError, OpAmpDecl, PresetDecl, SweepDecl,
-                      parse_netlist)
-from .network import (ModeCoefficient, NoiseLine, SpectrumTable,
-                      capacitor_impedance, impedance_matrix,
+                      parse_netlist, parse_number)
+from .network import (ModeCoefficient, NoiseLine, ScatteringMap,
+                      SpectrumTable, capacitor_impedance, impedance_matrix,
                       inductor_impedance, scattering_from_impedance)
 from .spectra import symmetrized_occupation
 
 __all__ = ["run", "main", "sweep_grid", "preset_config"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
+
+#: matrix entries per impedance stack in the passive solve; a frequency
+#: block holds BLOCK_ENTRIES // n_lines^2 points, which bounds the solve's
+#: temporaries (a whole 500-point sweep of 40 lines is 12.8 MB per stack)
+BLOCK_ENTRIES = 2 ** 14
 
 
 def sweep_grid(sweep: SweepDecl) -> np.ndarray:
@@ -69,95 +81,99 @@ def preset_config(preset: PresetDecl,
     return dataclasses.replace(MUSCOPE, **kwargs)
 
 
-def _passive_budgets(doc: NetlistDocument, measure: MeasureDecl,
-                     freqs_hz: np.ndarray) -> List[NoiseBudget]:
+def _passive_map(doc: NetlistDocument, measured: List[str],
+                 omegas: np.ndarray) -> Tuple[ScatteringMap, Dict]:
+    """Rows of the passive network (every line outside an op-amp) for the
+    measured lines over the sweep, and the occupations of its lines.
+
+    The network is solved once for all passive measures, in frequency
+    blocks of BLOCK_ENTRIES impedance-matrix entries each.
+    """
     opamp_lines = {d.left for d in doc.opamps} | {d.right for d in doc.opamps}
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_lines]
     index = {line.label: i for i, line in enumerate(lines)}
-    gains = [g for g in doc.gains if g.input_line == measure.line]
-    budgets = []
-    for f_hz in freqs_hz:
-        omega = 2.0 * math.pi * f_hz
-        stamps = []
-        for cap in doc.caps:
-            z = capacitor_impedance(cap.capacitance, omega)
-            stamps.append((z, *_port_indices(cap.ports, index)))
-        for ind in doc.inds:
-            z = inductor_impedance(ind.inductance, omega)
-            stamps.append((z, *_port_indices(ind.ports, index)))
-        z_mat = impedance_matrix(len(lines), stamps)
-        smap = scattering_from_impedance(z_mat, lines)
-        row = smap.row(measure.line)
-        occupations = {line.label: symmetrized_occupation(omega,
-                                                          line.temperature)
-                       for line in lines}
-        for g in gains:
-            gain = complex(g.gain)
-            row = {lab: ModeCoefficient(gain * c.amplitude, c.conjugated)
-                   for lab, c in row.items()}
-            b_label = f"{g.name}_b"
-            row[b_label] = ModeCoefficient(
-                math.sqrt(abs(gain) ** 2 - 1.0), True)
-            occupations[b_label] = symmetrized_occupation(
-                omega, g.noise_temperature)
-        signal = row[measure.signal].amplitude
-        est = normalize_estimator(row, signal)
-        budget = added_noise_spectrum(est, SpectrumTable(occupations))
-        # report as energy PSD hbar|w| Sigma (k_B Theta equivalent)
-        scale = HBAR * abs(omega)
-        budgets.append(NoiseBudget(
-            {lab: scale * v for lab, v in budget.terms.items()}, units="J"))
-    return budgets
+    rows = [index[label] for label in measured]
+    block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
+    pieces = []
+    for start in range(0, len(omegas), block):
+        w = omegas[start:start + block]
+        stamps = [(capacitor_impedance(cap.capacitance, w),
+                   *_port_indices(cap.ports, index)) for cap in doc.caps]
+        stamps += [(inductor_impedance(ind.inductance, w),
+                    *_port_indices(ind.ports, index)) for ind in doc.inds]
+        smap = scattering_from_impedance(
+            impedance_matrix(len(lines), stamps), lines)
+        # a network without reactances gives one matrix for the block
+        pieces.append(np.broadcast_to(smap.amplitude[..., rows, :],
+                                      w.shape + (len(rows), len(lines))))
+    occupations = {line.label: symmetrized_occupation(omegas, line.temperature)
+                   for line in lines}
+    smap = ScatteringMap(np.concatenate(pieces),
+                         np.zeros((len(rows), len(lines)), dtype=bool),
+                         measured, list(index))
+    return smap, occupations
+
+
+def _passive_budget(doc: NetlistDocument, measure: MeasureDecl,
+                    smap: ScatteringMap, occupations: Dict,
+                    omegas: np.ndarray) -> NoiseBudget:
+    row = smap.row(measure.line)
+    occupations = dict(occupations)
+    for g in doc.gains:
+        if g.input_line != measure.line:
+            continue
+        gain = complex(g.gain)
+        row = {lab: ModeCoefficient(gain * c.amplitude, c.conjugated)
+               for lab, c in row.items()}
+        b_label = f"{g.name}_b"
+        row[b_label] = ModeCoefficient(math.sqrt(abs(gain) ** 2 - 1.0), True)
+        occupations[b_label] = symmetrized_occupation(omegas,
+                                                      g.noise_temperature)
+    return _energy_budget(measure, row, occupations, omegas)
 
 
 def _port_indices(ports: Tuple[str, str], index: Dict[str, int]
                   ) -> Tuple[int, int]:
-    i = index[ports[0]] if ports[0] != "gnd" else index[ports[1]]
-    if ports[0] == "gnd" or ports[1] == "gnd":
-        return i, -1
-    return index[ports[0]], index[ports[1]]
+    i, j = (index.get(port, -1) for port in ports)  # gnd -> -1
+    return (j, -1) if i < 0 else (i, j)
 
 
-def _opamp_budgets(doc: NetlistDocument, decl: OpAmpDecl,
-                   measure: MeasureDecl, freqs_hz: np.ndarray,
-                   ) -> List[NoiseBudget]:
+def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
+                  measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
     line_decls = {d.name: d for d in doc.lines}
     left = line_decls[decl.left]
     right = line_decls[decl.right]
-    budgets = []
-    for f_hz in freqs_hz:
-        omega = 2.0 * math.pi * f_hz
-        sigma_amp = K_B * decl.amp_temperature / (HBAR * omega)
-        pair = recombine_noise_sources(decl.amp_impedance, sigma_amp,
-                                       sigma_amp, omega)
-        amp = IdealOpAmp(left.resistance, right.resistance,
-                         lambda w: capacitor_impedance(
-                             decl.feedback_capacitance, w),
-                         pair)
-        labels = (decl.left, decl.right, f"{decl.name}_a",
-                  f"{decl.name}_a_conj")
-        smap = opamp_scattering(amp, decl.amp_impedance, omega, labels=labels)
-        row = smap.row(measure.line)
-        table = SpectrumTable({
-            decl.left: symmetrized_occupation(omega, left.temperature),
-            decl.right: symmetrized_occupation(omega, right.temperature),
-            labels[2]: sigma_amp,
-            labels[3]: sigma_amp,
-        })
-        signal = row[measure.signal].amplitude
-        est = normalize_estimator(row, signal)
-        budget = added_noise_spectrum(est, table)
-        scale = HBAR * abs(omega)
-        budgets.append(NoiseBudget(
-            {lab: scale * v for lab, v in budget.terms.items()}, units="J"))
-    return budgets
+    sigma_amp = K_B * decl.amp_temperature / (HBAR * omegas)
+    amp = IdealOpAmp(left.resistance, right.resistance,
+                     lambda w: capacitor_impedance(
+                         decl.feedback_capacitance, w))
+    labels = (decl.left, decl.right, f"{decl.name}_a",
+              f"{decl.name}_a_conj")
+    smap = opamp_scattering(amp, decl.amp_impedance, omegas, labels=labels)
+    occupations = {
+        decl.left: symmetrized_occupation(omegas, left.temperature),
+        decl.right: symmetrized_occupation(omegas, right.temperature),
+        labels[2]: sigma_amp,
+        labels[3]: sigma_amp,
+    }
+    return _energy_budget(measure, smap.row(measure.line), occupations,
+                          omegas)
 
 
-def _muscope_budgets(config: AccelerometerConfig, freqs_hz: np.ndarray,
-                     ) -> List[NoiseBudget]:
-    model = build_accelerometer(config)
-    return [model.budget(2.0 * math.pi * f_hz) for f_hz in freqs_hz]
+def _energy_budget(measure: MeasureDecl, row: Dict[str, ModeCoefficient],
+                   occupations: Dict, omegas: np.ndarray) -> NoiseBudget:
+    """Budget of a field readout normalized to its signal line, reported as
+    energy PSDs hbar|w| Sigma (k_B Theta equivalent)."""
+    if measure.signal not in row:
+        raise QNoiseError(f"measure {measure.label}: signal line "
+                          f"{measure.signal!r} is outside the subnetwork of "
+                          f"line {measure.line!r}")
+    est = normalize_estimator(row, row[measure.signal].amplitude)
+    budget = added_noise_spectrum(est, SpectrumTable(occupations))
+    scale = HBAR * np.abs(omegas)
+    return NoiseBudget({lab: scale * v for lab, v in budget.terms.items()},
+                       units="J")
 
 
 def _fmt(value: float) -> str:
@@ -185,89 +201,84 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         if not any(m.line == "muscope" for m in measures):
             measures.append(MeasureDecl("muscope", "force", "force"))
 
-    opamp_by_line = {}
-    for amp_decl in doc.opamps:
-        opamp_by_line[amp_decl.left] = amp_decl
-        opamp_by_line[amp_decl.right] = amp_decl
+    opamp_by_line = {line: d for d in doc.opamps for line in (d.left, d.right)}
+    passive = [m.line for m in measures
+               if m.line != "muscope" and m.line not in opamp_by_line]
 
-    results = []  # (measure, budgets per frequency)
-    for measure in measures:
-        if measure.line == "muscope":
-            budgets = _muscope_budgets(config, freqs_hz)
-        elif measure.line in opamp_by_line:
-            budgets = _opamp_budgets(doc, opamp_by_line[measure.line],
-                                     measure, freqs_hz)
-        else:
-            budgets = _passive_budgets(doc, measure, freqs_hz)
-        results.append((measure, budgets))
+    omegas = 2.0 * math.pi * freqs_hz
+    spectra = []  # (estimator, column, values over the sweep)
+    records = []  # budget.csv rows, also written as budget.json
+    # overflow turns into inf/nan here, which is rejected below by name
+    with np.errstate(all="ignore"):
+        if passive:
+            smap, occupations = _passive_map(doc, sorted(set(passive)),
+                                             omegas)
+        for measure in measures:
+            if measure.line == "muscope":
+                budget = build_accelerometer(config).budget(omegas)
+            elif measure.line in opamp_by_line:
+                budget = _opamp_budget(doc, opamp_by_line[measure.line],
+                                       measure, omegas)
+            else:
+                budget = _passive_budget(doc, measure, smap, occupations,
+                                         omegas)
+            spectra.append((measure.label, "total", budget.total))
+            spectra.extend((measure.label, src, values)
+                           for src, values in budget.terms.items())
+            records.extend(_budget_records(
+                measure.label, integrate_budget(budget, freqs_hz)))
+            if measure.line == "muscope":
+                report = sensitivity_report(config)
+                records += [
+                    {"estimator": measure.label,
+                     "source": "sigma_FF_at_measure_freq",
+                     "band_integrated": report.sigma_ff},
+                    {"estimator": measure.label, "source": "acceleration_asd",
+                     "band_integrated": report.acceleration_asd},
+                ]
+    cells = spectra + [(r["estimator"], r["source"], r["band_integrated"])
+                       for r in records]
+    # name a source before the totals it feeds
+    for label, src, values in sorted(cells, key=lambda c: c[1] in
+                                     ("total", "TOTAL")):
+        if not np.isfinite(values).all():
+            raise QNoiseError(f"estimator {label}: source {src} has a "
+                              "non-finite noise budget (numeric overflow)")
 
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    spectra_path = os.path.join(out_dir, "spectra.csv")
-    header = ["frequency_Hz"]
-    for measure, budgets in results:
-        header.append(f"{measure.label}_total")
-        header.extend(f"{measure.label}_{src}" for src in budgets[0].terms)
-    rows = [",".join(header)]
-    for k, f_hz in enumerate(freqs_hz):
-        cells = [_fmt(f_hz)]
-        for measure, budgets in results:
-            budget = budgets[k]
-            cells.append(_fmt(budget.total))
-            cells.extend(_fmt(v) for v in budget.terms.values())
-        rows.append(",".join(cells))
-    _write_text(spectra_path, "\n".join(rows) + "\n")
-    paths["spectra"] = spectra_path
-
-    budget_path = os.path.join(out_dir, "budget.csv")
-    budget_records = []
+    paths = {"spectra": os.path.join(out_dir, "spectra.csv"),
+             "budget": os.path.join(out_dir, "budget.csv")}
+    header = ["frequency_Hz"] + [f"{label}_{src}" for label, src, _ in spectra]
+    text = io.StringIO()
+    np.savetxt(text, np.column_stack([freqs_hz] + [v for _, _, v in spectra]),
+               fmt="%.9g", delimiter=",", header=",".join(header),
+               comments="")
+    _write_text(paths["spectra"], text.getvalue())
     lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
-    for measure, budgets in results:
-        integrated = integrate_budget(budgets, freqs_hz)
-        total = integrated.total
-        dominant = integrated.dominant
-        for src, value in integrated.terms.items():
-            frac = value / total if total > 0.0 else 0.0
-            flag = 1 if src in dominant else 0
-            lines.append(f"{measure.label},{src},{_fmt(value)},"
-                         f"{_fmt(frac)},{flag}")
-            budget_records.append({
-                "estimator": measure.label, "source": src,
-                "band_integrated": value, "fraction_of_total": frac,
-                "dominant": bool(flag),
-            })
-        lines.append(f"{measure.label},TOTAL,{_fmt(total)},1,0")
-        budget_records.append({
-            "estimator": measure.label, "source": "TOTAL",
-            "band_integrated": total, "fraction_of_total": 1.0,
-            "dominant": False,
-        })
-        if measure.line == "muscope":
-            report = sensitivity_report(config)
-            lines.append(f"{measure.label},sigma_FF_at_measure_freq,"
-                         f"{_fmt(report.sigma_ff)},,")
-            lines.append(f"{measure.label},acceleration_asd,"
-                         f"{_fmt(report.acceleration_asd)},,")
-            budget_records.append({
-                "estimator": measure.label,
-                "source": "sigma_FF_at_measure_freq",
-                "band_integrated": report.sigma_ff,
-            })
-            budget_records.append({
-                "estimator": measure.label, "source": "acceleration_asd",
-                "band_integrated": report.acceleration_asd,
-            })
-    _write_text(budget_path, "\n".join(lines) + "\n")
-    paths["budget"] = budget_path
-
+    for r in records:
+        tail = (f"{_fmt(r['fraction_of_total'])},{int(r['dominant'])}"
+                if "dominant" in r else ",")
+        lines.append(f"{r['estimator']},{r['source']},"
+                     f"{_fmt(r['band_integrated'])},{tail}")
+    _write_text(paths["budget"], "\n".join(lines) + "\n")
     if json_mirror:
-        json_path = os.path.join(out_dir, "budget.json")
-        _write_text(json_path,
-                    json.dumps(budget_records, indent=2, sort_keys=True)
-                    + "\n")
-        paths["json"] = json_path
+        paths["json"] = os.path.join(out_dir, "budget.json")
+        _write_text(paths["json"],
+                    json.dumps(records, indent=2, sort_keys=True) + "\n")
     return paths
+
+
+def _budget_records(label: str, integrated: NoiseBudget) -> List[dict]:
+    """Per-source band-integrated rows of one estimator, then its TOTAL."""
+    total = integrated.total
+    dominant = integrated.dominant
+    records = [{"estimator": label, "source": src, "band_integrated": value,
+                "fraction_of_total": value / total if total > 0.0 else 0.0,
+                "dominant": src in dominant}
+               for src, value in integrated.terms.items()]
+    return records + [{"estimator": label, "source": "TOTAL",
+                       "band_integrated": total, "fraction_of_total": 1.0,
+                       "dominant": False}]
 
 
 def _write_text(path: str, text: str):
@@ -279,20 +290,16 @@ def _write_text(path: str, text: str):
 
 
 def _parse_set(values: List[str]) -> Dict[str, float]:
-    from .netlist import PRESET_KEYS, _NUMBER_RE, _SI_SUFFIXES
     out = {}
     for item in values:
         key, sep, raw = item.partition("=")
         if not sep or key not in PRESET_KEYS:
             raise QNoiseError(f"bad --set {item!r}: expected key=value with "
                               f"key in {', '.join(PRESET_KEYS)}")
-        match = _NUMBER_RE.match(raw)
-        if not match:
-            raise QNoiseError(f"bad --set value {raw!r}")
-        value = float(match.group(1))
-        if match.group(2):
-            value *= _SI_SUFFIXES[match.group(2)]
-        out[key] = value
+        try:
+            out[key] = parse_number(raw)
+        except ValueError as exc:
+            raise QNoiseError(f"bad --set value {raw!r}: {exc}") from None
     return out
 
 

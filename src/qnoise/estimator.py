@@ -4,7 +4,8 @@ A readout row (one output field as a linear combination of input fields) is
 normalized by its signal coefficient, so the estimator reads as the signal
 plus an equivalent input noise sum_alpha mu_alpha alpha_in.  The budget is
 the per-source decomposition |mu_alpha|^2 sigma_alpha of the added-noise
-spectrum.
+spectrum.  Coefficients, occupations and budget terms are numbers at one
+frequency or arrays over a sweep (one value per frequency).
 """
 
 from dataclasses import dataclass
@@ -39,15 +40,16 @@ class EstimatorRow:
 @dataclass
 class NoiseBudget:
     """Per-source noise terms |mu|^2 sigma and their total, in units^2/Hz of
-    the estimated quantity.  Dominant sources are the strict maxima; ties
-    report every maximizer."""
+    the estimated quantity; over a sweep each term and the total are arrays.
+    Dominant sources (of a single-frequency or band-integrated budget) are
+    the strict maxima; ties report every maximizer."""
 
     terms: Dict[str, float]
     units: str = ""
 
     @property
     def total(self) -> float:
-        return float(sum(self.terms.values()))
+        return _number(sum(self.terms.values()))
 
     @property
     def dominant(self) -> List[str]:
@@ -65,10 +67,12 @@ def normalize_estimator(coefficients: Mapping[str, ModeCoefficient],
     A vanishing signal coefficient means the signal path is blocked and the
     estimator is undefined.
     """
-    s = complex(signal_coefficient)
-    if s == 0.0:
+    s = np.asarray(signal_coefficient, dtype=complex)
+    if np.any(s == 0.0):
         raise DomainError("zero signal coefficient: estimator undefined "
                           "(signal blocked)")
+    if s.ndim == 0:
+        s = complex(s)
     return EstimatorRow(
         {lab: ModeCoefficient(c.amplitude / s, c.conjugated)
          for lab, c in coefficients.items()},
@@ -92,8 +96,13 @@ def added_noise_spectrum(row: EstimatorRow, table: SpectrumTable,
                 "at the matched impedance before building a budget")
     terms = {}
     for label, coef in row.coefficients.items():
-        terms[label] = float(abs(coef.amplitude) ** 2 * table.sigma(label))
+        terms[label] = _number(abs(coef.amplitude) ** 2 * table.sigma(label))
     return NoiseBudget(terms, units=row.units)
+
+
+def _number(value):
+    """A 0-d value as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:
@@ -113,20 +122,19 @@ def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:
     return theta_a / (theta_a + (1.0 - 1.0 / g2) * theta_b)
 
 
-def integrate_budget(budgets: Sequence[NoiseBudget],
+def integrate_budget(budget: NoiseBudget,
                      frequencies_hz: Sequence[float]) -> NoiseBudget:
-    """Band-integrated budget (trapezoidal in Hz) over a frequency sweep."""
-    if len(budgets) != len(frequencies_hz):
-        raise ModelError("one budget per frequency point required")
-    if not budgets:
-        raise ModelError("empty sweep")
-    labels = list(budgets[0].terms)
+    """Band-integrated budget (trapezoidal in Hz) of a budget whose terms
+    are arrays with one value per sweep frequency."""
     freqs = np.asarray(frequencies_hz, dtype=float)
+    if freqs.size == 0:
+        raise ModelError("empty sweep")
     integrated = {}
-    for lab in labels:
-        values = np.array([b.terms[lab] for b in budgets])
+    for lab, values in budget.terms.items():
+        if np.shape(values) != freqs.shape:
+            raise ModelError("one budget value per frequency point required")
         if len(freqs) == 1:
             integrated[lab] = float(values[0])
         else:
             integrated[lab] = float(np.trapezoid(values, freqs))
-    return NoiseBudget(integrated, units=budgets[0].units)
+    return NoiseBudget(integrated, units=budget.units)

@@ -11,11 +11,13 @@ Declarations (one per line, `#` starts a comment, keywords case-sensitive):
     measure <line> as <label> signal=<line or builtin>
     preset muscope [key=value ...]
 
-Numbers accept scientific notation and SI suffixes k M G m u n p f.
+Numbers accept scientific notation and SI suffixes k M G m u n p f, and
+must be finite.
 Parsing is single pass, first error wins; errors carry 1-based line and
 column positions into the source text.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +30,7 @@ __all__ = [
     "LineDecl", "CapDecl", "IndDecl", "OpAmpDecl", "GainDecl",
     "SweepDecl", "MeasureDecl", "PresetDecl",
     "parse_netlist",
+    "parse_number",
     "format_netlist",
 ]
 
@@ -215,25 +218,32 @@ def _err(tok: _Token, message: str) -> NetlistParseError:
     return NetlistParseError(tok.line, tok.column, tok.text, message)
 
 
-def _parse_number(tok: _Token, text: Optional[str] = None) -> float:
-    text = tok.text if text is None else text
+def parse_number(text: str) -> float:
+    """Value of a netlist number: scientific notation with an optional SI
+    suffix.  Raises ValueError for other text and for non-finite values."""
     match = _NUMBER_RE.match(text)
     if not match:
-        raise _err(tok, "expected a number (scientific notation and "
-                        "suffixes k M G m u n p f allowed)")
-    value = float(match.group(1))
-    suffix = match.group(2)
-    if suffix:
-        value *= _SI_SUFFIXES[suffix]
+        raise ValueError("expected a number (scientific notation and "
+                         "suffixes k M G m u n p f allowed)")
+    value = float(match.group(1)) * _SI_SUFFIXES.get(match.group(2), 1.0)
+    if not math.isfinite(value):
+        raise ValueError("number out of range (must be finite)")
     return value
+
+
+def _parse_number(tok: _Token, text: Optional[str] = None) -> float:
+    try:
+        return parse_number(tok.text if text is None else text)
+    except ValueError as exc:
+        raise _err(tok, str(exc)) from None
 
 
 def _parse_complex(tok: _Token, text: str) -> complex:
     match = _COMPLEX_RE.match(text)
     if not match:
         raise _err(tok, "expected a complex number like 2 or 1.5-0.5i")
-    real = float(match.group("re"))
-    imag = float(match.group("im")) if match.group("im") else 0.0
+    real = _parse_number(tok, match.group("re"))
+    imag = _parse_number(tok, match.group("im")) if match.group("im") else 0.0
     return complex(real, imag)
 
 
@@ -507,12 +517,6 @@ def parse_netlist(text: str) -> NetlistDocument:
     return parser.finish(rows)
 
 
-def _fmt_num(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return repr(value)
-    return repr(value)
-
-
 def _fmt_complex(value: complex) -> str:
     if value.imag == 0.0:
         return repr(value.real)
@@ -525,34 +529,34 @@ def format_netlist(doc: NetlistDocument) -> str:
     out = []
     for decl in doc.declarations:
         if isinstance(decl, LineDecl):
-            out.append(f"line {decl.name} R={_fmt_num(decl.resistance)} "
-                       f"T={_fmt_num(decl.temperature)}")
+            out.append(f"line {decl.name} R={decl.resistance!r} "
+                       f"T={decl.temperature!r}")
         elif isinstance(decl, CapDecl):
-            out.append(f"cap {decl.name} C={_fmt_num(decl.capacitance)} "
+            out.append(f"cap {decl.name} C={decl.capacitance!r} "
                        f"ports=({decl.ports[0]},{decl.ports[1]})")
         elif isinstance(decl, IndDecl):
-            out.append(f"ind {decl.name} L={_fmt_num(decl.inductance)} "
+            out.append(f"ind {decl.name} L={decl.inductance!r} "
                        f"ports=({decl.ports[0]},{decl.ports[1]})")
         elif isinstance(decl, OpAmpDecl):
             out.append(f"opamp {decl.name} left={decl.left} "
                        f"right={decl.right} "
-                       f"Zf=cap:{_fmt_num(decl.feedback_capacitance)} "
-                       f"R_a={_fmt_num(decl.amp_impedance)} "
-                       f"Theta_a={_fmt_num(decl.amp_temperature)}")
+                       f"Zf=cap:{decl.feedback_capacitance!r} "
+                       f"R_a={decl.amp_impedance!r} "
+                       f"Theta_a={decl.amp_temperature!r}")
         elif isinstance(decl, GainDecl):
             out.append(f"gain {decl.name} in={decl.input_line} "
                        f"G={_fmt_complex(decl.gain)} "
-                       f"T_b={_fmt_num(decl.noise_temperature)}")
+                       f"T_b={decl.noise_temperature!r}")
         elif isinstance(decl, SweepDecl):
-            out.append(f"sweep {_fmt_num(decl.f_min_hz)} "
-                       f"{_fmt_num(decl.f_max_hz)} {decl.n_points} "
+            out.append(f"sweep {decl.f_min_hz!r} "
+                       f"{decl.f_max_hz!r} {decl.n_points} "
                        f"{decl.scale}")
         elif isinstance(decl, MeasureDecl):
             out.append(f"measure {decl.line} as {decl.label} "
                        f"signal={decl.signal}")
         elif isinstance(decl, PresetDecl):
             parts = [f"preset {decl.name}"]
-            parts.extend(f"{k}={_fmt_num(v)}" for k, v in decl.overrides)
+            parts.extend(f"{k}={v!r}" for k, v in decl.overrides)
             out.append(" ".join(parts))
         else:
             raise TypeError(f"unknown declaration {decl!r}")

@@ -13,7 +13,7 @@ anomalous pair correlations used by the active-element decompositions.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import DomainError, ModelError
 
 __all__ = [
     "NoiseLine",
-    "ReactiveMultipole",
+    "reactivity_residual",
     "ModeCoefficient",
     "ScatteringMap",
     "SpectrumTable",
@@ -37,9 +37,6 @@ __all__ = [
 
 #: relative anti-Hermiticity tolerance separating modeling errors from float noise
 TOL_REACTIVE = 1e-9
-
-#: row (Bogoliubov / unitarity) tolerance for produced scattering maps
-TOL_UNITARY = 1e-10
 
 #: condition-number guard for the (z + 1) solve
 COND_LIMIT = 1e12
@@ -62,43 +59,32 @@ class NoiseLine:
             raise DomainError(f"line {self.label!r}: temperature must be >= 0")
 
 
-class ReactiveMultipole:
-    """Frequency-dependent anti-Hermitian impedance matrix coupling the ports."""
-
-    def __init__(self, z_of_omega: Callable[[float], np.ndarray], dim: int):
-        self._z = z_of_omega
-        self.dim = dim
-
-    def at(self, omega: float) -> np.ndarray:
-        z = np.asarray(self._z(omega), dtype=complex)
-        if z.shape != (self.dim, self.dim):
-            raise ModelError(f"impedance matrix has shape {z.shape}, "
-                             f"expected {(self.dim, self.dim)}")
-        return z
-
-    @staticmethod
-    def reactivity_residual(z: np.ndarray) -> float:
-        """Relative anti-Hermiticity residual ||Z + Z^H|| / ||Z|| (0 for Z = 0)."""
-        norm = np.linalg.norm(z)
-        if norm == 0.0:
-            return 0.0
-        return np.linalg.norm(z + z.conj().T) / norm
+def reactivity_residual(z: np.ndarray) -> np.ndarray:
+    """Relative anti-Hermiticity residual ||Z + Z^H|| / ||Z|| (0 for Z = 0)
+    of an impedance matrix, or of each matrix in a (..., n, n) stack."""
+    z = np.asarray(z, dtype=complex)
+    norm = np.linalg.norm(z, axis=(-2, -1))
+    defect = np.linalg.norm(z + np.swapaxes(z.conj(), -1, -2), axis=(-2, -1))
+    return np.divide(defect, norm, out=np.zeros_like(norm),
+                     where=norm > 0.0)[()]
 
 
 @dataclass(frozen=True)
 class ModeCoefficient:
     """One scattering entry: amplitude on the input field (conjugated=False)
-    or on its frequency-reversed conjugate (conjugated=True)."""
+    or on its frequency-reversed conjugate (conjugated=True).  Over a sweep
+    the amplitude is an array with one value per frequency."""
 
     amplitude: complex
     conjugated: bool = False
 
 
 class ScatteringMap:
-    """Per-frequency scattering coefficients from input lines to output lines.
+    """Scattering coefficients from input lines to output lines.
 
-    `amplitude[i, j]` multiplies input j in output i; `conjugated[i, j]`
-    flags entries acting on the conjugate field.  Passive maps are square,
+    `amplitude[..., i, j]` multiplies input j in output i, with an optional
+    leading frequency axis; `conjugated[i, j]` flags entries acting on the
+    conjugate field at every frequency.  Passive maps are square,
     all-normal and unitary; active maps satisfy the Bogoliubov row condition
 
         sum_normal |S_ij|^2 - sum_conj |S_ij|^2 = 1.
@@ -110,59 +96,56 @@ class ScatteringMap:
         self.conjugated = np.asarray(conjugated, dtype=bool)
         self.out_labels = list(out_labels)
         self.in_labels = list(in_labels)
-        if self.amplitude.shape != (len(self.out_labels), len(self.in_labels)):
+        shape = (len(self.out_labels), len(self.in_labels))
+        if self.amplitude.shape[-2:] != shape:
             raise ModelError("scattering amplitude shape does not match labels")
-        if self.conjugated.shape != self.amplitude.shape:
+        if self.conjugated.shape != shape:
             raise ModelError("conjugation flags shape does not match amplitudes")
 
-    def entry(self, out_label: str, in_label: str) -> ModeCoefficient:
-        i = self.out_labels.index(out_label)
-        j = self.in_labels.index(in_label)
-        return ModeCoefficient(complex(self.amplitude[i, j]),
-                               bool(self.conjugated[i, j]))
-
     def row(self, out_label: str) -> Dict[str, ModeCoefficient]:
+        """Coefficients of one output; amplitudes are complex numbers for a
+        single-frequency map and arrays over the sweep otherwise."""
         i = self.out_labels.index(out_label)
-        return {lab: ModeCoefficient(complex(self.amplitude[i, j]),
-                                     bool(self.conjugated[i, j]))
-                for j, lab in enumerate(self.in_labels)}
+        amps = np.moveaxis(self.amplitude[..., i, :], -1, 0)
+        return {lab: ModeCoefficient(a if a.ndim else complex(a), bool(flag))
+                for lab, a, flag in zip(self.in_labels, amps,
+                                        self.conjugated[i])}
 
     def row_residuals(self) -> np.ndarray:
-        """Bogoliubov residual per row: |sum_n |c|^2 - sum_c |c|^2 - 1|."""
+        """Bogoliubov residual per row: |sum_n |c|^2 - sum_c |c|^2 - 1|,
+        shaped (..., n_out)."""
         mag2 = np.abs(self.amplitude) ** 2
         signed = np.where(self.conjugated, -mag2, mag2)
-        return np.abs(signed.sum(axis=1) - 1.0)
+        return np.abs(signed.sum(axis=-1) - 1.0)
 
     def unitarity_defect(self) -> float:
-        """max |S S^H - 1| for an all-normal square map."""
+        """max |S S^H - 1| over all frequencies for an all-normal square map."""
         if self.conjugated.any():
             raise ModelError("unitarity defect is defined for all-normal maps; "
                              "use row_residuals for active maps")
-        if self.amplitude.shape[0] != self.amplitude.shape[1]:
+        n_out, n_in = self.conjugated.shape
+        if n_out != n_in:
             raise ModelError("unitarity defect requires a square map")
         s = self.amplitude
-        return float(np.max(np.abs(s @ s.conj().T - np.eye(s.shape[0]))))
+        return float(np.max(np.abs(s @ np.swapaxes(s.conj(), -1, -2)
+                                   - np.eye(n_out))))
 
 
 @dataclass
 class SpectrumTable:
-    """Symmetrized occupations per line, plus optional anomalous pair
-    correlations m[(j, k)] between same-frequency fields of lines j and k
-    (nonzero only for active-element decompositions away from the matched
-    impedance)."""
+    """Symmetrized occupations per line (numbers, or arrays over a sweep),
+    plus optional anomalous pair correlations m[(j, k)] between
+    same-frequency fields of lines j and k (nonzero only for
+    active-element decompositions away from the matched impedance)."""
 
     occupations: Dict[str, float]
     anomalous: Dict[Tuple[str, str], complex] = field(default_factory=dict)
-    cross: np.ndarray = None  # filled by propagate_spectra
 
     def sigma(self, label: str) -> float:
         try:
             return self.occupations[label]
         except KeyError:
             raise ModelError(f"no spectrum for line {label!r}") from None
-
-    def anomalous_between(self, j: str, k: str) -> complex:
-        return self.anomalous.get((j, k), self.anomalous.get((k, j), 0.0))
 
 
 def capacitor_impedance(value: float, omega: float) -> complex:
@@ -186,15 +169,17 @@ def impedance_matrix(n_ports: int,
     Each element is (reactance z, port i, port j) with 0-based ports; j = -1
     grounds the element (diagonal stamp only).  Bridging elements use the
     Laplacian stamp z on the diagonal, -z off-diagonal, which preserves
-    anti-Hermiticity for purely reactive z.
+    anti-Hermiticity for purely reactive z.  Reactances given as arrays over
+    frequency give a (..., n_ports, n_ports) stack.
     """
-    z_mat = np.zeros((n_ports, n_ports), dtype=complex)
+    shape = np.broadcast_shapes(*(np.shape(z) for z, _, _ in elements))
+    z_mat = np.zeros(shape + (n_ports, n_ports), dtype=complex)
     for z, i, j in elements:
-        z_mat[i, i] += z
+        z_mat[..., i, i] += z
         if j >= 0 and j != i:
-            z_mat[j, j] += z
-            z_mat[i, j] -= z
-            z_mat[j, i] -= z
+            z_mat[..., j, j] += z
+            z_mat[..., i, j] -= z
+            z_mat[..., j, i] -= z
     return z_mat
 
 
@@ -203,31 +188,33 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     """Scattering map S = (z - 1)(z + 1)^-1 of a reactive multipole
     terminated by noise lines, with z = R^{-1/2} Z R^{-1/2}.
 
-    Z must be anti-Hermitian within TOL_REACTIVE; the solve is guarded by a
-    condition estimate (an ill-conditioned z + 1 signals corrupted input,
-    since strictly anti-Hermitian z keeps its eigenvalues at unit real part).
+    `z_matrix` is one (n, n) matrix or a (..., n, n) stack over frequency.
+    Every Z must be anti-Hermitian within TOL_REACTIVE; the solve is
+    guarded by a condition estimate (an ill-conditioned z + 1 signals
+    corrupted input, since strictly anti-Hermitian z keeps its eigenvalues
+    at unit real part).
     """
     z_matrix = np.asarray(z_matrix, dtype=complex)
     n = len(lines)
-    if z_matrix.shape != (n, n):
+    if z_matrix.shape[-2:] != (n, n):
         raise ModelError(f"impedance matrix is {z_matrix.shape}, "
                          f"but {n} lines were given")
-    residual = ReactiveMultipole.reactivity_residual(z_matrix)
+    residual = np.max(reactivity_residual(z_matrix), initial=0.0)
     if residual > TOL_REACTIVE:
         raise ModelError(f"impedance matrix is not reactive: "
                          f"anti-Hermiticity residual {residual:.3e} "
                          f"exceeds {TOL_REACTIVE:.0e}")
-    r_sqrt_inv = np.diag([1.0 / np.sqrt(line.resistance) for line in lines])
-    z = r_sqrt_inv @ z_matrix @ r_sqrt_inv
+    r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
+    z = r_sqrt_inv[:, None] * z_matrix * r_sqrt_inv
     eye = np.eye(n)
-    cond = np.linalg.cond(z + eye)
+    cond = np.max(np.linalg.cond(z + eye), initial=0.0)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ModelError(f"(z + 1) is near-singular (condition {cond:.3e}); "
                          "input impedance matrix is not consistently reactive")
     # (z+1)^-1 and (z-1) commute, so the left solve equals (z-1)(z+1)^-1
     s = np.linalg.solve(z + eye, z - eye)
     labels = [line.label for line in lines]
-    return ScatteringMap(s, np.zeros_like(s, dtype=bool), labels, labels)
+    return ScatteringMap(s, np.zeros((n, n), dtype=bool), labels, labels)
 
 
 def row_occupation(coeffs: Dict[str, ModeCoefficient],
@@ -255,18 +242,9 @@ def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTabl
     """Propagate input occupations through a scattering map.
 
     Output occupation i is sum_j |S_ij|^2 sigma_j (uncorrelated inputs).
-    The returned table also carries the output cross-correlation matrix
-    S diag(sigma) S^H for downstream estimator use.
     """
-    sigmas = np.array([table.sigma(lab) for lab in smap.in_labels])
-    out = {}
-    for i, lab in enumerate(smap.out_labels):
-        coeffs = smap.row(lab)
-        out[lab] = row_occupation(coeffs, table)
-    cross = smap.amplitude @ np.diag(sigmas) @ smap.amplitude.conj().T
-    result = SpectrumTable(out)
-    result.cross = cross
-    return result
+    return SpectrumTable({lab: row_occupation(smap.row(lab), table)
+                          for lab in smap.out_labels})
 
 
 def port_observables(smap: ScatteringMap, table: SpectrumTable, port: str,

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qnoise.accelerometer import (AMP_A, AMP_AC, LINE_IN, LINE_OUT, MECH,
@@ -193,3 +194,13 @@ class TestFrequencyDependence:
         assert b2.terms[AMP_AC] == pytest.approx(100.0 * b1.terms[AMP_AC],
                                                  rel=0.01)
         assert b2.terms[MECH] == pytest.approx(b1.terms[MECH], rel=1e-12)
+
+    def test_sweep_budget_matches_single_frequency(self):
+        model = build_accelerometer(MUSCOPE)
+        omegas = MUSCOPE.measure_omega * np.logspace(-0.5, 0.5, 9)
+        sweep = model.budget(omegas)
+        for k, omega in enumerate(omegas):
+            single = model.budget(omega)
+            for lab, value in single.terms.items():
+                assert sweep.terms[lab][k] == pytest.approx(value, rel=1e-13)
+            assert sweep.total[k] == pytest.approx(single.total, rel=1e-13)

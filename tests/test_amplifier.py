@@ -39,8 +39,9 @@ class TestAmplifyMode:
 
     def test_added_noise_is_conjugated(self):
         smap = amplify_mode(GainStage(3.0), 1.0)
-        assert not smap.entry("a", "a").conjugated
-        assert smap.entry("a", "b").conjugated
+        row = smap.row("a")
+        assert not row["a"].conjugated
+        assert row["b"].conjugated
 
     def test_large_gain_thermal_sum(self):
         # hbar|w| Sigma_out -> k_B (Theta_a + Theta_b) at large gain
@@ -78,15 +79,16 @@ class TestOpAmpScattering:
         for zf_scale in (0.1, 1.0, 10.0):
             amp = make_opamp(zf_scale=zf_scale)
             smap = opamp_scattering(amp, 0.15e6, OMEGA_T)
-            assert smap.entry("l", "l").amplitude == pytest.approx(-1.0)
-            assert smap.entry("l", "r").amplitude == 0.0
+            row = smap.row("l")
+            assert row["l"].amplitude == pytest.approx(-1.0)
+            assert row["r"].amplitude == 0.0
 
     def test_signal_gain(self):
         amp = make_opamp(r_left=1e5, r_right=4e5, zf_scale=2.0)
         smap = opamp_scattering(amp, 0.15e6, OMEGA_T)
         zf = amp.feedback_at(OMEGA_T)
         expected = 2 * abs(zf) / math.sqrt(1e5 * 4e5)
-        assert abs(smap.entry("r", "l").amplitude) == \
+        assert abs(smap.row("r")["l"].amplitude) == \
             pytest.approx(expected, rel=1e-12)
 
     def test_rows_bogoliubov_random(self):
@@ -140,6 +142,32 @@ class TestOpAmpScattering:
                                   anomalous={("a", "a_conj"): m})
             assert row_occupation(smap.row("r"), table) == \
                 pytest.approx(direct, rel=1e-12)
+
+    def test_array_omega_matches_scalar(self):
+        amp = make_opamp(r_left=2e5, r_right=5e4, zf_scale=1.3)
+        omegas = OMEGA_T * np.logspace(-1, 1, 5)
+        smap = opamp_scattering(amp, 1e5, omegas)
+        assert smap.amplitude.shape == (5, 2, 4)
+        for k, omega in enumerate(omegas):
+            single = opamp_scattering(amp, 1e5, omega)
+            np.testing.assert_allclose(smap.amplitude[k], single.amplitude,
+                                       rtol=1e-15)
+            assert (smap.conjugated == single.conjugated).all()
+        assert smap.row_residuals().max() < 1e-12
+
+    def test_noise_pair_is_optional(self):
+        c_f = 1.0 / (OMEGA_T * 1e5)
+        amp = IdealOpAmp(1e5, 1e5, lambda w: capacitor_impedance(c_f, w))
+        assert amp.noise is None
+        assert opamp_scattering(amp, 1e5, OMEGA_T).row_residuals().max() \
+            < 1e-12
+
+    def test_rejects_non_reactive_feedback_at_one_frequency(self):
+        amp = IdealOpAmp(1e5, 1e5,
+                         lambda w: np.where(w > 2.0, 50.0 + 0j, -1j * w))
+        assert amp.feedback_at(1.0) == -1j
+        with pytest.raises(ModelError):
+            opamp_scattering(amp, 1e5, np.array([1.0, 2.0, 3.0]))
 
     def test_rejects_non_reactive_feedback(self):
         pair = OpAmpNoisePair(1e-18, 1e-28)

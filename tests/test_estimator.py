@@ -57,6 +57,48 @@ class TestNormalizeEstimator:
             normalize_estimator(amplifier_readout(2.0), 0.0)
 
 
+class TestSweepArrays:
+    """Rows, occupations and budgets carry one value per frequency."""
+
+    GAINS = np.array([1.5, 2.0, 10.0])
+
+    def budget(self):
+        readout = {"sig": ModeCoefficient(self.GAINS, False),
+                   "add": ModeCoefficient(np.sqrt(self.GAINS ** 2 - 1.0),
+                                          True)}
+        row = normalize_estimator(readout, self.GAINS)
+        return added_noise_spectrum(
+            row, SpectrumTable({"sig": 0.5, "add": np.array([0.5, 1.0, 2.0])}))
+
+    def test_terms_match_single_frequency(self):
+        budget = self.budget()
+        for k, g in enumerate(self.GAINS):
+            row = normalize_estimator(amplifier_readout(g), g)
+            single = added_noise_spectrum(
+                row, SpectrumTable({"sig": 0.5, "add": [0.5, 1.0, 2.0][k]}))
+            for lab in ("sig", "add"):
+                assert budget.terms[lab][k] == \
+                    pytest.approx(single.terms[lab], rel=1e-14)
+
+    def test_total_is_an_array(self):
+        budget = self.budget()
+        np.testing.assert_allclose(budget.total,
+                                   budget.terms["sig"] + budget.terms["add"])
+
+    def test_single_frequency_stays_float(self):
+        row = normalize_estimator(amplifier_readout(2.0), 2.0)
+        budget = added_noise_spectrum(row, SpectrumTable({"sig": 0.5,
+                                                          "add": 0.5}))
+        assert type(budget.terms["add"]) is float
+        assert type(budget.total) is float
+        assert type(row.coefficient("sig").amplitude) is complex
+
+    def test_zero_signal_at_one_frequency_rejected(self):
+        with pytest.raises(DomainError):
+            normalize_estimator({"sig": ModeCoefficient(np.ones(3))},
+                                np.array([1.0, 0.0, 2.0]))
+
+
 class TestAddedNoiseSpectrum:
     def test_vacuum_inputs_g_sqrt2(self):
         # |G| = sqrt(2) on vacuum: 0.5 + (1 - 1/2) 0.5 = 0.75
@@ -142,36 +184,34 @@ class TestSnrDegradation:
 
 class TestIntegrateBudget:
     def test_constant_budget(self):
-        budgets = [NoiseBudget({"a": 2.0, "b": 1.0}) for _ in range(5)]
         freqs = np.linspace(10.0, 20.0, 5)
-        out = integrate_budget(budgets, freqs)
+        budget = NoiseBudget({"a": np.full(5, 2.0), "b": np.ones(5)})
+        out = integrate_budget(budget, freqs)
         assert out.terms["a"] == pytest.approx(20.0, rel=1e-12)
         assert out.terms["b"] == pytest.approx(10.0, rel=1e-12)
 
     def test_linear_budget_exact_under_trapezoid(self):
         freqs = np.linspace(0.0, 1.0, 11)
-        budgets = [NoiseBudget({"a": 3.0 * f}) for f in freqs]
-        out = integrate_budget(budgets, freqs)
+        out = integrate_budget(NoiseBudget({"a": 3.0 * freqs}), freqs)
         assert out.terms["a"] == pytest.approx(1.5, rel=1e-12)
 
     def test_total_matches_sum_of_terms(self):
         rng = np.random.default_rng(29)
         freqs = np.linspace(1.0, 2.0, 7)
-        budgets = [NoiseBudget({"a": rng.uniform(0, 1),
-                                "b": rng.uniform(0, 1)}) for _ in freqs]
-        out = integrate_budget(budgets, freqs)
-        totals = [b.total for b in budgets]
-        assert out.total == pytest.approx(np.trapezoid(totals, freqs),
+        budget = NoiseBudget({"a": rng.uniform(0, 1, 7),
+                              "b": rng.uniform(0, 1, 7)})
+        out = integrate_budget(budget, freqs)
+        assert out.total == pytest.approx(np.trapezoid(budget.total, freqs),
                                           rel=1e-12)
 
     def test_single_point_passthrough(self):
-        out = integrate_budget([NoiseBudget({"a": 4.0})], [100.0])
+        out = integrate_budget(NoiseBudget({"a": np.array([4.0])}), [100.0])
         assert out.terms["a"] == 4.0
 
     def test_length_mismatch(self):
         with pytest.raises(ModelError):
-            integrate_budget([NoiseBudget({"a": 1.0})], [1.0, 2.0])
+            integrate_budget(NoiseBudget({"a": np.array([1.0])}), [1.0, 2.0])
 
     def test_empty_sweep(self):
         with pytest.raises(ModelError):
-            integrate_budget([], [])
+            integrate_budget(NoiseBudget({"a": np.array([])}), [])

@@ -5,10 +5,10 @@ import pytest
 
 from qnoise.constants import HBAR
 from qnoise.errors import DomainError, ModelError
-from qnoise.network import (NoiseLine, ReactiveMultipole, ScatteringMap,
-                            SpectrumTable, capacitor_impedance,
-                            impedance_matrix, inductor_impedance,
-                            port_observables, propagate_spectra,
+from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
+                            capacitor_impedance, impedance_matrix,
+                            inductor_impedance, port_observables,
+                            propagate_spectra, reactivity_residual,
                             scattering_from_impedance)
 
 
@@ -56,7 +56,7 @@ class TestReactiveElements:
     def test_laplacian_stamp_is_reactive(self):
         z = impedance_matrix(3, [(1j * 5.0, 0, 1), (-1j * 2.0, 2, -1),
                                  (1j * 7.0, 1, 2)])
-        assert ReactiveMultipole.reactivity_residual(z) < 1e-15
+        assert reactivity_residual(z) < 1e-15
 
 
 class TestScatteringFromImpedance:
@@ -97,6 +97,50 @@ class TestScatteringFromImpedance:
         assert not smap.conjugated.any()
 
 
+class TestFrequencyStack:
+    """A (F, n, n) impedance stack solves like F separate matrices."""
+
+    LINES = [NoiseLine(50.0, 77.0, "p0"), NoiseLine(200.0, 4.2, "p1")]
+    OMEGAS = np.logspace(4, 8, 7)
+
+    def stack(self, omegas):
+        return impedance_matrix(2, [
+            (capacitor_impedance(1e-9, omegas), 0, 1),
+            (inductor_impedance(1e-6, omegas), 1, -1),
+        ])
+
+    def test_impedance_stack_shape(self):
+        assert self.stack(self.OMEGAS).shape == (7, 2, 2)
+        assert self.stack(1e5).shape == (2, 2)
+
+    def test_stack_matches_single_frequency_solves(self):
+        smap = scattering_from_impedance(self.stack(self.OMEGAS), self.LINES)
+        assert smap.amplitude.shape == (7, 2, 2)
+        for k, omega in enumerate(self.OMEGAS):
+            single = scattering_from_impedance(self.stack(omega), self.LINES)
+            np.testing.assert_allclose(smap.amplitude[k], single.amplitude,
+                                       rtol=1e-14, atol=1e-15)
+
+    def test_methods_keep_the_frequency_axis(self):
+        smap = scattering_from_impedance(self.stack(self.OMEGAS), self.LINES)
+        row = smap.row("p1")
+        assert row["p0"].amplitude.shape == (7,)
+        assert not row["p0"].conjugated
+        assert smap.row_residuals().shape == (7, 2)
+        assert smap.row_residuals().max() < 1e-12
+        assert smap.unitarity_defect() < 1e-12
+
+    def test_single_frequency_row_is_complex(self):
+        smap = scattering_from_impedance(self.stack(1e5), self.LINES)
+        assert type(smap.row("p0")["p1"].amplitude) is complex
+
+    def test_reactivity_checked_at_every_frequency(self):
+        z = self.stack(self.OMEGAS)
+        z[3, 0, 0] += 1.0
+        with pytest.raises(ModelError, match="not reactive"):
+            scattering_from_impedance(z, self.LINES)
+
+
 class TestPropagation:
     def test_identity_map(self):
         labels = ["a", "b"]
@@ -123,17 +167,16 @@ class TestPropagation:
             for value in out.occupations.values():
                 assert abs(value - s) < 1e-10 * s
 
-    def test_cross_correlations_recorded(self):
+    def test_occupations_are_cross_correlation_diagonal(self):
         rng = np.random.default_rng(8)
         smap = scattering_from_impedance(random_reactive(rng, 3),
                                          random_lines(rng, 3))
         sigmas = {"p0": 0.5, "p1": 2.0, "p2": 7.0}
         out = propagate_spectra(smap, SpectrumTable(sigmas))
-        expected = smap.amplitude @ np.diag([0.5, 2.0, 7.0]) \
+        cross = smap.amplitude @ np.diag([0.5, 2.0, 7.0]) \
             @ smap.amplitude.conj().T
-        np.testing.assert_allclose(out.cross, expected)
         for i, lab in enumerate(smap.out_labels):
-            assert out.occupations[lab] == pytest.approx(out.cross[i, i].real)
+            assert out.occupations[lab] == pytest.approx(cross[i, i].real)
 
     def test_frequency_symmetry(self):
         # propagated spectra even in omega for an LC-coupled pair
