@@ -89,19 +89,29 @@ def _passive_map(doc: NetlistDocument, measured: List[str],
     The network is solved once for all passive measures, in frequency
     blocks of BLOCK_ENTRIES impedance-matrix entries each.
     """
-    opamp_lines = {d.left for d in doc.opamps} | {d.right for d in doc.opamps}
+    opamp_of = {line: d.name for d in doc.opamps for line in (d.left, d.right)}
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
-             for d in doc.lines if d.name not in opamp_lines]
+             for d in doc.lines if d.name not in opamp_of]
     index = {line.label: i for i, line in enumerate(lines)}
+    ports = {}  # element name -> matrix indices of its ports, gnd is -1
+    for elem in doc.caps + doc.inds:
+        # the parser lets a cap or ind reach a line a later op-amp terminates
+        outside = [port for port in elem.ports if port in opamp_of]
+        if outside:
+            raise QNoiseError(f"{elem.name}: port line {outside[0]!r} "
+                              f"terminates op-amp {opamp_of[outside[0]]!r} and "
+                              "is outside the passive network")
+        i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
+        ports[elem.name] = (j, -1) if i < 0 else (i, j)
     rows = [index[label] for label in measured]
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
     pieces = []
     for start in range(0, len(omegas), block):
         w = omegas[start:start + block]
-        stamps = [(capacitor_impedance(cap.capacitance, w),
-                   *_port_indices(cap.ports, index)) for cap in doc.caps]
-        stamps += [(inductor_impedance(ind.inductance, w),
-                    *_port_indices(ind.ports, index)) for ind in doc.inds]
+        stamps = [(capacitor_impedance(cap.capacitance, w), *ports[cap.name])
+                  for cap in doc.caps]
+        stamps += [(inductor_impedance(ind.inductance, w), *ports[ind.name])
+                   for ind in doc.inds]
         smap = scattering_from_impedance(
             impedance_matrix(len(lines), stamps), lines)
         # a network without reactances gives one matrix for the block
@@ -133,12 +143,6 @@ def _passive_budget(doc: NetlistDocument, measure: MeasureDecl,
     return _energy_budget(measure, row, occupations, omegas)
 
 
-def _port_indices(ports: Tuple[str, str], index: Dict[str, int]
-                  ) -> Tuple[int, int]:
-    i, j = (index.get(port, -1) for port in ports)  # gnd -> -1
-    return (j, -1) if i < 0 else (i, j)
-
-
 def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
                   measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
     line_decls = {d.name: d for d in doc.lines}
@@ -151,12 +155,10 @@ def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
     labels = (decl.left, decl.right, f"{decl.name}_a",
               f"{decl.name}_a_conj")
     smap = opamp_scattering(amp, decl.amp_impedance, omegas, labels=labels)
-    occupations = {
-        decl.left: symmetrized_occupation(omegas, left.temperature),
-        decl.right: symmetrized_occupation(omegas, right.temperature),
-        labels[2]: sigma_amp,
-        labels[3]: sigma_amp,
-    }
+    occupations = dict(zip(labels, (
+        symmetrized_occupation(omegas, left.temperature),
+        symmetrized_occupation(omegas, right.temperature),
+        sigma_amp, sigma_amp)))
     return _energy_budget(measure, smap.row(measure.line), occupations,
                           omegas)
 
@@ -176,8 +178,8 @@ def _energy_budget(measure: MeasureDecl, row: Dict[str, ModeCoefficient],
                        units="J")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+#: number format of every CSV cell; the golden outputs are byte-exact
+_FMT = "%.9g"
 
 
 def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
@@ -229,13 +231,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                 measure.label, integrate_budget(budget, freqs_hz)))
             if measure.line == "muscope":
                 report = sensitivity_report(config)
-                records += [
-                    {"estimator": measure.label,
-                     "source": "sigma_FF_at_measure_freq",
-                     "band_integrated": report.sigma_ff},
-                    {"estimator": measure.label, "source": "acceleration_asd",
-                     "band_integrated": report.acceleration_asd},
-                ]
+                records += [{"estimator": measure.label, "source": src,
+                             "band_integrated": value} for src, value in (
+                    ("sigma_FF_at_measure_freq", report.sigma_ff),
+                    ("acceleration_asd", report.acceleration_asd))]
     cells = spectra + [(r["estimator"], r["source"], r["band_integrated"])
                        for r in records]
     # name a source before the totals it feeds
@@ -251,15 +250,15 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     header = ["frequency_Hz"] + [f"{label}_{src}" for label, src, _ in spectra]
     text = io.StringIO()
     np.savetxt(text, np.column_stack([freqs_hz] + [v for _, _, v in spectra]),
-               fmt="%.9g", delimiter=",", header=",".join(header),
+               fmt=_FMT, delimiter=",", header=",".join(header),
                comments="")
     _write_text(paths["spectra"], text.getvalue())
     lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
     for r in records:
-        tail = (f"{_fmt(r['fraction_of_total'])},{int(r['dominant'])}"
+        tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
                 if "dominant" in r else ",")
         lines.append(f"{r['estimator']},{r['source']},"
-                     f"{_fmt(r['band_integrated'])},{tail}")
+                     f"{_FMT % r['band_integrated']},{tail}")
     _write_text(paths["budget"], "\n".join(lines) + "\n")
     if json_mirror:
         paths["json"] = os.path.join(out_dir, "budget.json")
