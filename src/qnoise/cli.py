@@ -19,12 +19,11 @@ budget that would contain a non-finite cell; nothing is written then).
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,9 +46,9 @@ __all__ = ["run", "main", "sweep_grid", "preset_config"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
 
-#: matrix entries per impedance stack in the passive solve; a frequency
-#: block holds BLOCK_ENTRIES // n_lines^2 points, which bounds the solve's
-#: temporaries (a whole 500-point sweep of 40 lines is 12.8 MB per stack)
+#: bound on temporaries: matrix entries per impedance stack in the passive
+#: solve (BLOCK_ENTRIES // n^2 frequencies; a whole 500-point sweep of 40
+#: lines is 12.8 MB per stack) and cells per piece of spectra.csv text
 BLOCK_ENTRIES = 2 ** 14
 
 
@@ -103,32 +102,56 @@ def _passive_map(doc: NetlistDocument, measured: List[str],
                               "is outside the passive network")
         i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
         ports[elem.name] = (j, -1) if i < 0 else (i, j)
-    rows = [index[label] for label in measured]
+    # Z(w) = A / w + w B, stamped once for the whole sweep
+    a = impedance_matrix(len(lines), [
+        (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
+        for cap in doc.caps])
+    b = impedance_matrix(len(lines), [
+        (inductor_impedance(ind.inductance, 1.0), *ports[ind.name])
+        for ind in doc.inds])
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
     pieces = []
     for start in range(0, len(omegas), block):
-        w = omegas[start:start + block]
-        stamps = [(capacitor_impedance(cap.capacitance, w), *ports[cap.name])
-                  for cap in doc.caps]
-        stamps += [(inductor_impedance(ind.inductance, w), *ports[ind.name])
-                   for ind in doc.inds]
-        smap = scattering_from_impedance(
-            impedance_matrix(len(lines), stamps), lines)
-        # a network without reactances gives one matrix for the block
-        pieces.append(np.broadcast_to(smap.amplitude[..., rows, :],
-                                      w.shape + (len(rows), len(lines))))
+        w = omegas[start:start + block, None, None]
+        pieces.append(scattering_from_impedance(
+            a / w + w * b, lines, outputs=measured).amplitude)
     occupations = {line.label: symmetrized_occupation(omegas, line.temperature)
                    for line in lines}
-    smap = ScatteringMap(np.concatenate(pieces),
-                         np.zeros((len(rows), len(lines)), dtype=bool),
-                         measured, list(index))
-    return smap, occupations
+    return ScatteringMap(np.concatenate(pieces),
+                         np.zeros((len(measured), len(lines)), dtype=bool),
+                         measured, list(index)), occupations
 
 
-def _passive_budget(doc: NetlistDocument, measure: MeasureDecl,
-                    smap: ScatteringMap, occupations: Dict,
-                    omegas: np.ndarray) -> NoiseBudget:
-    row = smap.row(measure.line)
+def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
+                  measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
+    line_decls = {d.name: d for d in doc.lines}
+    left = line_decls[decl.left]
+    right = line_decls[decl.right]
+    sigma_amp = K_B * decl.amp_temperature / (HBAR * omegas)
+    k = np.argmax(sigma_amp < 0.5)  # the first point below the floor, if any
+    if sigma_amp[k] < 0.5:
+        raise QNoiseError(f"op-amp {decl.name}: noise occupation "
+                          f"{sigma_amp[k]:.3g} is below the 1/2 vacuum floor "
+                          f"at {omegas[k] / (2.0 * math.pi):.6g} Hz")
+    amp = IdealOpAmp(left.resistance, right.resistance,
+                     lambda w: capacitor_impedance(
+                         decl.feedback_capacitance, w))
+    labels = (decl.left, decl.right, f"{decl.name}_a",
+              f"{decl.name}_a_conj")
+    smap = opamp_scattering(amp, decl.amp_impedance, omegas, labels=labels)
+    occupations = dict(zip(labels, (
+        symmetrized_occupation(omegas, left.temperature),
+        symmetrized_occupation(omegas, right.temperature),
+        sigma_amp, sigma_amp)))
+    return _energy_budget(doc, measure, smap.row(measure.line), occupations,
+                          omegas)
+
+
+def _energy_budget(doc: NetlistDocument, measure: MeasureDecl,
+                   row: Dict[str, ModeCoefficient], occupations: Dict,
+                   omegas: np.ndarray) -> NoiseBudget:
+    """Budget of a field readout through the gains on its line, normalized
+    to its signal line, as energy PSDs hbar|w| Sigma (k_B Theta)."""
     occupations = dict(occupations)
     for g in doc.gains:
         if g.input_line != measure.line:
@@ -140,33 +163,6 @@ def _passive_budget(doc: NetlistDocument, measure: MeasureDecl,
         row[b_label] = ModeCoefficient(math.sqrt(abs(gain) ** 2 - 1.0), True)
         occupations[b_label] = symmetrized_occupation(omegas,
                                                       g.noise_temperature)
-    return _energy_budget(measure, row, occupations, omegas)
-
-
-def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
-                  measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
-    line_decls = {d.name: d for d in doc.lines}
-    left = line_decls[decl.left]
-    right = line_decls[decl.right]
-    sigma_amp = K_B * decl.amp_temperature / (HBAR * omegas)
-    amp = IdealOpAmp(left.resistance, right.resistance,
-                     lambda w: capacitor_impedance(
-                         decl.feedback_capacitance, w))
-    labels = (decl.left, decl.right, f"{decl.name}_a",
-              f"{decl.name}_a_conj")
-    smap = opamp_scattering(amp, decl.amp_impedance, omegas, labels=labels)
-    occupations = dict(zip(labels, (
-        symmetrized_occupation(omegas, left.temperature),
-        symmetrized_occupation(omegas, right.temperature),
-        sigma_amp, sigma_amp)))
-    return _energy_budget(measure, smap.row(measure.line), occupations,
-                          omegas)
-
-
-def _energy_budget(measure: MeasureDecl, row: Dict[str, ModeCoefficient],
-                   occupations: Dict, omegas: np.ndarray) -> NoiseBudget:
-    """Budget of a field readout normalized to its signal line, reported as
-    energy PSDs hbar|w| Sigma (k_B Theta equivalent)."""
     if measure.signal not in row:
         raise QNoiseError(f"measure {measure.label}: signal line "
                           f"{measure.signal!r} is outside the subnetwork of "
@@ -222,8 +218,8 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                 budget = _opamp_budget(doc, opamp_by_line[measure.line],
                                        measure, omegas)
             else:
-                budget = _passive_budget(doc, measure, smap, occupations,
-                                         omegas)
+                budget = _energy_budget(doc, measure, smap.row(measure.line),
+                                        occupations, omegas)
             spectra.append((measure.label, "total", budget.total))
             spectra.extend((measure.label, src, values)
                            for src, values in budget.terms.items())
@@ -244,26 +240,22 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             raise QNoiseError(f"estimator {label}: source {src} has a "
                               "non-finite noise budget (numeric overflow)")
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {"spectra": os.path.join(out_dir, "spectra.csv"),
              "budget": os.path.join(out_dir, "budget.csv")}
     header = ["frequency_Hz"] + [f"{label}_{src}" for label, src, _ in spectra]
-    text = io.StringIO()
-    np.savetxt(text, np.column_stack([freqs_hz] + [v for _, _, v in spectra]),
-               fmt=_FMT, delimiter=",", header=",".join(header),
-               comments="")
-    _write_text(paths["spectra"], text.getvalue())
+    _write_text(paths["spectra"], _csv_pieces(
+        header, [freqs_hz] + [v for _, _, v in spectra]))
     lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
     for r in records:
         tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
                 if "dominant" in r else ",")
         lines.append(f"{r['estimator']},{r['source']},"
                      f"{_FMT % r['band_integrated']},{tail}")
-    _write_text(paths["budget"], "\n".join(lines) + "\n")
+    _write_text(paths["budget"], ["\n".join(lines) + "\n"])
     if json_mirror:
         paths["json"] = os.path.join(out_dir, "budget.json")
         _write_text(paths["json"],
-                    json.dumps(records, indent=2, sort_keys=True) + "\n")
+                    [json.dumps(records, indent=2, sort_keys=True) + "\n"])
     return paths
 
 
@@ -280,10 +272,21 @@ def _budget_records(label: str, integrated: NoiseBudget) -> List[dict]:
                        "dominant": False}]
 
 
-def _write_text(path: str, text: str):
+def _csv_pieces(header: List[str], columns: List[np.ndarray]):
+    """CSV text of a header and columns, in pieces of BLOCK_ENTRIES cells."""
+    table = np.column_stack(columns)
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
+    step = max(1, BLOCK_ENTRIES // table.shape[1])
+    yield ",".join(header) + "\n"
+    for chunk in np.split(table, range(step, len(table), step)):
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _write_text(path: str, pieces: Iterable[str]):
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise QNoiseError(f"cannot write {path}: {exc}") from exc
 

@@ -13,7 +13,7 @@ anomalous pair correlations used by the active-element decompositions.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,15 +184,18 @@ def impedance_matrix(n_ports: int,
 
 
 def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
+                              outputs: Optional[Sequence[str]] = None,
                               ) -> ScatteringMap:
     """Scattering map S = (z - 1)(z + 1)^-1 of a reactive multipole
     terminated by noise lines, with z = R^{-1/2} Z R^{-1/2}.
 
-    `z_matrix` is one (n, n) matrix or a (..., n, n) stack over frequency.
-    Every Z must be anti-Hermitian within TOL_REACTIVE; the solve is
-    guarded by a condition estimate (an ill-conditioned z + 1 signals
-    corrupted input, since strictly anti-Hermitian z keeps its eigenvalues
-    at unit real part).
+    `z_matrix` is one (n, n) matrix or a (..., n, n) stack over frequency;
+    `outputs` names the rows of S to solve for (line labels, default all).
+    Every Z must be anti-Hermitian within TOL_REACTIVE and cond(z + 1) at
+    most COND_LIMIT, as ill-conditioning signals corrupted input (reactive
+    z keeps its eigenvalues at unit real part).  Frobenius norms bound
+    cond(z + 1) <= (1 + |z|) / (1 - |(z + z^H) / 2|); an SVD runs only
+    where that bound exceeds COND_LIMIT.
     """
     z_matrix = np.asarray(z_matrix, dtype=complex)
     n = len(lines)
@@ -204,17 +207,25 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
         raise ModelError(f"impedance matrix is not reactive: "
                          f"anti-Hermiticity residual {residual:.3e} "
                          f"exceeds {TOL_REACTIVE:.0e}")
+    labels = [line.label for line in lines]
+    outputs = labels if outputs is None else list(outputs)
+    if not set(outputs) <= set(labels):
+        raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
     z = r_sqrt_inv[:, None] * z_matrix * r_sqrt_inv
+    z_t = np.swapaxes(z, -1, -2)
     eye = np.eye(n)
-    cond = np.max(np.linalg.cond(z + eye), initial=0.0)
+    unclear = ~(1.0 + np.linalg.norm(z, axis=(-2, -1)) <= COND_LIMIT * (
+        1.0 - np.linalg.norm(z + z_t.conj(), axis=(-2, -1)) / 2.0))
+    cond = np.max(np.linalg.cond((z + eye)[unclear])) if unclear.any() else 0.0
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ModelError(f"(z + 1) is near-singular (condition {cond:.3e}); "
                          "input impedance matrix is not consistently reactive")
-    # (z+1)^-1 and (z-1) commute, so the left solve equals (z-1)(z+1)^-1
-    s = np.linalg.solve(z + eye, z - eye)
-    labels = [line.label for line in lines]
-    return ScatteringMap(s, np.zeros((n, n), dtype=bool), labels, labels)
+    # S (z + 1) = z - 1, so the rows of S solve (z + 1)^T S^T = (z - 1)^T
+    rows = [labels.index(label) for label in outputs]
+    s = np.linalg.solve(z_t + eye, (z_t - eye)[..., rows])
+    return ScatteringMap(np.swapaxes(s, -1, -2),
+                         np.zeros((len(rows), n), dtype=bool), outputs, labels)
 
 
 def row_occupation(coeffs: Dict[str, ModeCoefficient],

@@ -122,6 +122,22 @@ class TestRun:
                     return float(cells[2])
         assert asd(heavy) < 0.6 * asd(base)
 
+    def test_gain_on_opamp_measure_line(self, tmp_path):
+        # the gain stage adds its own noise column and leaves the
+        # signal-normalized terms of the op-amp lines as they were
+        text = (DOCS / "opamp_readout.qn").read_text()
+        base = run(parse_netlist(text), str(tmp_path / "base"))
+        gained = run(parse_netlist(text + "gain g1 in=det G=10 T_b=5\n"),
+                     str(tmp_path / "gained"))
+        base_header, base_rows = read_csv(Path(base["spectra"]))
+        header, rows = read_csv(Path(gained["spectra"]))
+        assert header == base_header + ["readout_g1_b"]
+        assert all(float(r[-1]) > 0.0 for r in rows)
+        for k, name in enumerate(base_header):
+            if name != "readout_total":
+                assert [float(r[k]) for r in rows] == pytest.approx(
+                    [float(r[k]) for r in base_rows], rel=1e-8), name
+
     def test_preset_without_sweep_uses_default_band(self, tmp_path):
         doc = parse_netlist("preset muscope\n")
         paths = run(doc, str(tmp_path))
@@ -173,6 +189,19 @@ class TestMain:
         code = main(["run", str(netlist), "--out", str(tmp_path),
                      "--set", "amp_impedance=150k"])
         assert code == 0
+
+    @pytest.mark.parametrize("case", ["out_is_file", "out_under_file",
+                                      "spectra_csv_is_dir"])
+    def test_unwritable_output_exit_two(self, case, tmp_path, capsys):
+        netlist = tmp_path / "net.qn"
+        netlist.write_text(VACUUM_NETLIST)
+        (tmp_path / "out" / "spectra.csv").mkdir(parents=True)
+        out = {"out_is_file": netlist, "out_under_file": netlist / "out",
+               "spectra_csv_is_dir": tmp_path / "out"}[case]
+        code = main(["run", str(netlist), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("qnoise: cannot write ")
 
     @pytest.mark.parametrize("example", sorted(DOCS.glob("*.qn")),
                              ids=lambda p: p.stem)

@@ -141,6 +141,57 @@ class TestFrequencyStack:
             scattering_from_impedance(z, self.LINES)
 
 
+class TestSolvedRowsAndConditionGuard:
+    """`outputs=` solves a subset of rows; the SVD condition estimate runs
+    only where the norm bound cannot clear cond(z + 1) <= COND_LIMIT."""
+
+    N = 8
+    OMEGAS = 2 * math.pi * np.logspace(3, 8, 50)
+
+    def ladder(self, omegas):
+        """Ladder-like network: a cap between neighbours, an inductor from
+        every line to ground."""
+        stamps = [(capacitor_impedance(1e-9, omegas), i, i + 1)
+                  for i in range(self.N - 1)]
+        stamps += [(inductor_impedance(1e-6, omegas), i, -1)
+                   for i in range(self.N)]
+        lines = [NoiseLine(50.0 * (1 + 0.1 * i), 1.0 + i, f"l{i}")
+                 for i in range(self.N)]
+        return impedance_matrix(self.N, stamps), lines
+
+    def test_output_rows_match_full_map(self):
+        z, lines = self.ladder(self.OMEGAS)
+        full = scattering_from_impedance(z, lines)
+        part = scattering_from_impedance(z, lines, outputs=["l5", "l0"])
+        assert part.out_labels == ["l5", "l0"]
+        assert part.in_labels == full.in_labels
+        assert part.amplitude.shape == (50, 2, self.N)
+        np.testing.assert_allclose(part.amplitude,
+                                   full.amplitude[:, [5, 0], :],
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_unknown_output_rejected(self):
+        z, lines = self.ladder(self.OMEGAS)
+        with pytest.raises(ModelError, match="unknown output"):
+            scattering_from_impedance(z, lines, outputs=["l0", "nope"])
+
+    def test_near_singular_frequency_in_healthy_stack(self):
+        # 1 pF between two 50 ohm lines: cond(z + 1) = 6.4e12 at 1 mHz
+        omegas = 2 * math.pi * np.array([1e6, 1e7, 1e-3, 1e8])
+        z = impedance_matrix(2, [(capacitor_impedance(1e-12, omegas), 0, 1)])
+        lines = [NoiseLine(50.0, 300.0, "a"), NoiseLine(50.0, 0.0, "b")]
+        with pytest.raises(ModelError, match="near-singular"):
+            scattering_from_impedance(z, lines, outputs=["b"])
+
+    def test_bound_clears_ladder_without_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called")
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        z, lines = self.ladder(self.OMEGAS)
+        smap = scattering_from_impedance(z, lines)
+        assert smap.unitarity_defect() < 1e-12
+
+
 class TestPropagation:
     def test_identity_map(self):
         labels = ["a", "b"]
