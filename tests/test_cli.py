@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,9 @@ from qnoise.cli import main, preset_config, run, sweep_grid
 from qnoise.constants import HBAR
 from qnoise.netlist import PresetDecl, SweepDecl, parse_netlist
 
-DOCS = Path(__file__).parents[1] / "docs"
+ROOT = Path(__file__).parents[1]
+DOCS = ROOT / "docs"
+MALFORMED = ROOT / "tests" / "data" / "malformed"
 
 VACUUM_NETLIST = """line r1 R=50 T=0
 sweep 1k 1M 5 log
@@ -210,3 +215,45 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "spectra.csv").exists()
         assert (tmp_path / "budget.csv").exists()
+
+
+def fresh_python(code):
+    """Run `code` in a new interpreter with the package on PYTHONPATH;
+    returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestFrontLoadsNoNumpy:
+    def test_import_and_parse(self):
+        examples = [str(p) for p in sorted(DOCS.glob("*.qn"))]
+        out = fresh_python(
+            "import sys\n"
+            "from qnoise.cli import parse_netlist\n"
+            f"for path in {examples!r}:\n"
+            "    parse_netlist(open(path).read())\n"
+            "print('numpy' in sys.modules)\n")
+        assert out == "False\n"
+
+    def test_malformed_run_exits_one(self, tmp_path):
+        malformed = sorted(MALFORMED.glob("*.qn"))[0]
+        out = fresh_python(
+            "import sys\n"
+            "from qnoise.cli import main\n"
+            f"code = main(['run', {str(malformed)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+        assert out == "1 False\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_driver_names_come_from_sweep(self):
+        out = fresh_python(
+            "import qnoise.sweep as sweep\n"
+            "from qnoise.cli import main, preset_config, run, sweep_grid\n"
+            "print(run is sweep.run, sweep_grid is sweep.sweep_grid,\n"
+            "      preset_config is sweep.preset_config,\n"
+            "      main.__module__)\n")
+        assert out == "True True True qnoise.cli\n"
