@@ -212,6 +212,11 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     ideal.
     """
     cfg = config
+    sigma_amp = K_B * cfg.amp_temperature / (HBAR * cfg.carrier_omega)
+    if sigma_amp < 0.5:
+        raise DomainError(f"amplifier noise occupation {sigma_amp:.3g} is "
+                          "below the 1/2 vacuum floor at the carrier "
+                          f"{cfg.carrier_omega / (2.0 * math.pi):.6g} Hz")
     c_f = cfg.c_feedback
     amp = IdealOpAmp(
         r_left=cfg.amp_impedance,

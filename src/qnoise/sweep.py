@@ -42,7 +42,7 @@ DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
 
 #: bound on temporaries: matrix entries per impedance stack in the passive
 #: solve (BLOCK_ENTRIES // n^2 frequencies; a whole 500-point sweep of 40
-#: lines is 12.8 MB per stack) and cells per piece of spectra.csv text
+#: lines is 12.8 MB per stack), and 8 x cells per piece of spectra.csv text
 BLOCK_ENTRIES = 2 ** 14
 
 
@@ -50,10 +50,14 @@ def sweep_grid(sweep: SweepDecl) -> np.ndarray:
     """Frequency grid in Hz, ascending."""
     if sweep.n_points == 1:
         return np.array([sweep.f_min_hz])
+    grid, lo, hi = np.linspace, sweep.f_min_hz, sweep.f_max_hz
     if sweep.scale == "log":
-        return np.logspace(math.log10(sweep.f_min_hz),
-                           math.log10(sweep.f_max_hz), sweep.n_points)
-    return np.linspace(sweep.f_min_hz, sweep.f_max_hz, sweep.n_points)
+        grid, lo, hi = np.logspace, math.log10(lo), math.log10(hi)
+    try:
+        return grid(lo, hi, sweep.n_points)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size
+        raise QNoiseError(f"sweep of {sweep.n_points} points cannot be "
+                          f"allocated: {exc}") from None
 
 
 def preset_config(preset: PresetDecl,
@@ -272,13 +276,94 @@ def _budget_records(label: str, integrated: NoiseBudget) -> List[dict]:
 
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):
-    """CSV text of a header and columns, in pieces of BLOCK_ENTRIES cells."""
+    """CSV text of a header and columns, in pieces of BLOCK_ENTRIES // 8
+    cells written by `_csv_rows`."""
     table = np.column_stack(columns)
-    row = ",".join([_FMT] * table.shape[1]) + "\n"
-    step = max(1, BLOCK_ENTRIES // table.shape[1])
+    step = max(1, BLOCK_ENTRIES // 8 // table.shape[1])
     yield ",".join(header) + "\n"
     for chunk in np.split(table, range(step, len(table), step)):
-        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+        yield _csv_rows(chunk)
+
+
+def _csv_tables():
+    """Tables of `_csv_rows` by 100 + exponent, by 4-digit group and by
+    key = 9 * form + trailing zeros, where form is 4 + exponent in fixed
+    notation (0..12) and 13 in e-notation.  Plain Python and array copies
+    build them: numpy arithmetic here would raise every run's peak memory."""
+    forms = [e + 4 if -4 <= e <= 8 else 13 for e in range(-100, 100)]
+    pairs = np.frombuffer(b"".join(b"%c\0%c\0" % (48 + n // 10, 48 + n % 10)
+                                   for n in range(100)), np.uint8)
+    digits = np.empty((100, 100, 8), np.uint8)  # "d\0d\0d\0d\0" of 0000..9999
+    digits[..., :4] = pairs.reshape(100, 1, 4)
+    digits[..., 4:] = pairs.reshape(1, 100, 4)
+    zeros = [(n % 10 == 0) + (n == 0) for n in range(100)]  # trailing
+    trailing = np.empty((100, 100), np.intp)
+    trailing[:] = zeros  # of 0000..9999: those of the last pair, or 2 more
+    trailing[:, 0] = [2 + z for z in zeros]
+    # by key: 0xff at each kept digit; the "0.000" lead and the point
+    kept, text = bytearray(126 * 24), bytearray(126 * 24)
+    for key in range(126):
+        form, z = divmod(key, 9)
+        e, row = form - 4, 24 * key
+        p = e + 1 if 0 <= e <= 8 else int(form == 13)  # digits before "."
+        keep = 9 - min(z, 9 - p)
+        kept[row + 6:row + 6 + 2 * keep:2] = b"\xff" * keep
+        if 0 < p and z < 9 - p:
+            text[row + 2 * p + 5] = ord(".")
+        if e < 0:
+            text[row + 1:row + 2 - e] = b"0.000"[:1 - e]
+    exponent = b"".join((b"" if f < 13 else b"e%+03d" % e).ljust(7, b"\0")
+                        + b"," for e, f in zip(range(-100, 100), forms))
+    return (np.array([float(f"1e{8 - e}") for e in range(-100, 100)]),
+            9 * np.array(forms), np.frombuffer(exponent, "<u8"),
+            digits.view("<u8").ravel(), trailing.ravel(),
+            np.frombuffer(kept + text, "<u8").reshape(2, 126, 3)
+            .transpose(0, 2, 1).copy())
+
+
+_SCALE, _FORM9, _EXPONENT, _DIGITS, _TRAILING, (_KEPT, _TEXT) = _csv_tables()
+#: a cell left to `_FMT`: the format itself, which `%` fills in at the end
+#: (no other cell text holds a "%")
+_LEFT_TO_FMT = np.frombuffer(_FMT.encode().ljust(31, b"\0") + b",", "<u8")
+
+
+def _csv_rows(chunk: np.ndarray) -> str:
+    """CSV rows of a 2-D float chunk, byte-identical to `_FMT % cell`.
+
+    A cell is four 8-byte words, [sign "0.000" d1 .] [d2 . d3 . d4 . d5 .]
+    [d6 . d7 . d8 . d9 -] [e+NN - - - ,], whose zero bytes are dropped.
+    s = |x| 10^(8-e) has two roundings, so it is within 3e-7 of the exact
+    value: rint(s) are the nine digits of dtoa unless s is within 1e-5 of
+    a tie.  (e = floor(log10|x|) may be one off next to a power of ten;
+    s then rounds to 1e8, or to 1e9, which the carry mends.)  A cell near
+    a tie, outside 1e-99 < |x| < 1e99 or not finite is written by
+    `_FMT % cell`.  Each ufunc call keeps to one dtype: mixing bool and
+    integer arrays raised the peak memory of a run."""
+    x = chunk.ravel()
+    a = np.abs(x)
+    ok = (a > 1e-99) & (a < 1e99)
+    a[~ok] = 1.0
+    e = (np.log10(a) + 100).astype(np.intp)  # 100 + exponent
+    s = a * _SCALE[e]
+    r = np.rint(s)
+    ok &= np.abs(s - r) < 0.49999
+    carry = r >= 1e9
+    e[carry] += 1
+    r[carry] = 1e8
+    nine = r.astype(np.intp)
+    q = nine // 10000
+    lo, hi = nine - q * 10000, q // 10000
+    mid = q - hi * 10000
+    key = _FORM9[e] + np.where(lo, _TRAILING[lo], _TRAILING[mid] + 4)
+    cells = np.empty((len(x), 4), "<u8")
+    for word, group in enumerate((hi, mid, lo)):
+        cells[:, word] = _DIGITS[group] & _KEPT[word][key] | _TEXT[word][key]
+    np.bitwise_or(cells[:, 0], ord("-"), out=cells[:, 0], where=x < 0)
+    cells[:, 3] = _EXPONENT[e]
+    cells[~ok] = _LEFT_TO_FMT
+    cells.reshape(len(chunk), -1, 4)[:, -1, 3] ^= 0x26 << 56  # "," to "\n"
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    return text % tuple(x[~ok].tolist()) if not ok.all() else text
 
 
 def _write_text(path: str, pieces: Iterable[str]):

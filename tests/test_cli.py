@@ -208,6 +208,31 @@ class TestMain:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("qnoise: cannot write ")
 
+    def test_carrier_below_vacuum_floor_exit_two(self, tmp_path, capsys):
+        code = main(["run", str(DOCS / "muscope.qn"), "--out", str(tmp_path),
+                     "--set", "carrier_freq_hz=100e9"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["qnoise: amplifier noise occupation 0.313 is below "
+                       "the 1/2 vacuum floor at the carrier 1e+11 Hz"]
+        assert not (tmp_path / "spectra.csv").exists()
+
+    # sizes numpy refuses before touching memory: never one a machine
+    # could really try to allocate
+    @pytest.mark.parametrize("n_points", ["1000000000000000000",
+                                          "100000000000000000000"])
+    def test_unallocatable_sweep_exit_two(self, n_points, tmp_path, capsys):
+        netlist = tmp_path / "net.qn"
+        netlist.write_text(f"line r1 R=50 T=1\nsweep 1 1k {n_points} log\n"
+                           "measure r1 as v signal=r1\n")
+        code = main(["run", str(netlist), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"qnoise: sweep of {n_points} points "
+                                 "cannot be allocated: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("example", sorted(DOCS.glob("*.qn")),
                              ids=lambda p: p.stem)
     def test_documentation_examples_run(self, example, tmp_path):
