@@ -126,6 +126,18 @@ def mechanical_langevin_psd(mech_damping: float, bath_temperature: float,
     return 2.0 * mech_damping * K_B * bath_temperature
 
 
+@dataclass(frozen=True)
+class SensitivityReport:
+    """Force noise PSD, acceleration amplitude spectral density and the
+    per-source budget at the measurement frequency."""
+
+    sigma_ff: float                     # (kg m s^-2)^2 / Hz
+    acceleration_asd: float             # m s^-2 / sqrt(Hz)
+    budget: NoiseBudget
+    dominant: str
+    mechanical_fraction: float
+
+
 @dataclass
 class AccelerometerModel:
     """Assembled accelerometer: op-amp detection map at the carrier plus the
@@ -201,6 +213,21 @@ class AccelerometerModel:
             return 0.0
         return self.loop_force_noise_psd() / (2.0 * self.loop_damping * K_B)
 
+    def report(self) -> SensitivityReport:
+        """Noise budget and acceleration sensitivity sqrt(Sigma_FF)/M at the
+        measurement frequency."""
+        budget = self.budget(self.config.measure_omega)
+        sigma_ff = budget.total
+        dominant = budget.dominant[0] if len(budget.dominant) == 1 \
+            else "/".join(budget.dominant)
+        return SensitivityReport(
+            sigma_ff=sigma_ff,
+            acceleration_asd=math.sqrt(sigma_ff) / self.config.mass,
+            budget=budget,
+            dominant=dominant,
+            mechanical_fraction=budget.terms[MECH] / sigma_ff,
+        )
+
 
 def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     """Assemble the detection chain and velocity-referred noise coefficients.
@@ -237,31 +264,6 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     return AccelerometerModel(cfg, smap, nu)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Force noise PSD, acceleration amplitude spectral density and the
-    per-source budget at the measurement frequency."""
-
-    sigma_ff: float                     # (kg m s^-2)^2 / Hz
-    acceleration_asd: float             # m s^-2 / sqrt(Hz)
-    budget: NoiseBudget
-    dominant: str
-    mechanical_fraction: float
-
-
 def sensitivity_report(config: AccelerometerConfig) -> SensitivityReport:
-    """Noise budget and acceleration sensitivity sqrt(Sigma_FF)/M at the
-    measurement frequency."""
-    model = build_accelerometer(config)
-    budget = model.budget(config.measure_omega)
-    sigma_ff = budget.total
-    asd = math.sqrt(sigma_ff) / config.mass
-    dominant = budget.dominant[0] if len(budget.dominant) == 1 \
-        else "/".join(budget.dominant)
-    return SensitivityReport(
-        sigma_ff=sigma_ff,
-        acceleration_asd=asd,
-        budget=budget,
-        dominant=dominant,
-        mechanical_fraction=budget.terms[MECH] / sigma_ff,
-    )
+    """`AccelerometerModel.report` of the model that `config` builds."""
+    return build_accelerometer(config).report()

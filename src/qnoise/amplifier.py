@@ -19,14 +19,13 @@ carries the difference, leaving all physical port spectra R-independent.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DomainError, ModelError
 from .network import ScatteringMap, TOL_REACTIVE
-from .spectra import effective_temperature
 
 __all__ = [
     "GainStage",
@@ -34,29 +33,18 @@ __all__ = [
     "IdealOpAmp",
     "amplify_mode",
     "opamp_scattering",
-    "decompose_noise_sources",
     "noise_line_occupations",
     "recombine_noise_sources",
-    "commutator_audit",
-    "CommutatorReport",
 ]
 
 
 @dataclass(frozen=True)
 class GainStage:
-    """Phase-insensitive amplifier with |G| >= 1 and added-noise line
-    temperature `noise_temperature` (K).  `gain` may be a complex constant
-    or a function of omega."""
+    """Phase-insensitive amplifier with complex gain |G| >= 1 and added-noise
+    line temperature `noise_temperature` (K)."""
 
-    gain: Union[complex, Callable[[float], complex]]
+    gain: complex
     noise_temperature: float = 0.0
-
-    def gain_at(self, omega: float) -> complex:
-        g = self.gain(omega) if callable(self.gain) else self.gain
-        if abs(g) < 1.0:
-            raise DomainError(f"|G| = {abs(g):.6g} < 1: attenuation must be "
-                              "modeled as a passive network, not a gain stage")
-        return complex(g)
 
 
 @dataclass(frozen=True)
@@ -72,12 +60,6 @@ class OpAmpNoisePair:
     def __post_init__(self):
         if self.sigma_uu <= 0.0 or self.sigma_ii <= 0.0:
             raise DomainError("voltage and current noise spectra must be positive")
-
-    def heisenberg_margin(self, omega: float) -> float:
-        """sigma_uu sigma_ii - (hbar w / 2)^2 - sigma_ui^2; >= 0 for any
-        physical amplifier."""
-        return (self.sigma_uu * self.sigma_ii
-                - (HBAR * omega / 2.0) ** 2 - self.sigma_ui ** 2)
 
 
 @dataclass(frozen=True)
@@ -106,13 +88,17 @@ class IdealOpAmp:
 
 def amplify_mode(stage: GainStage, omega: float,
                  labels: Tuple[str, str] = ("a", "b")) -> ScatteringMap:
-    """Two-line scattering map of a gain stage.
+    """Two-line scattering map of a gain stage at omega, which a constant
+    gain does not depend on.
 
     Row for the amplified output: G (normal on a), sqrt(|G|^2 - 1)
     (conjugated on b); the idler row mirrors it.  Row residual
     |G|^2 - (|G|^2 - 1) - 1 vanishes identically.
     """
-    g = stage.gain_at(omega)
+    g = complex(stage.gain)
+    if abs(g) < 1.0:
+        raise DomainError(f"|G| = {abs(g):.6g} < 1: attenuation must be "
+                          "modeled as a passive network, not a gain stage")
     c = np.sqrt(abs(g) ** 2 - 1.0)
     amp = np.array([[g, c], [c, g]], dtype=complex)
     conj = np.array([[False, True], [True, False]])
@@ -173,26 +159,10 @@ def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,
     return sigma_aa, sigma_acac, m
 
 
-def decompose_noise_sources(pair: OpAmpNoisePair, omega: float,
-                            ) -> Tuple[float, float, float]:
-    """Matched decomposition of an op-amp noise pair with sigma_ui = 0:
-    returns (R_a, Theta_a, Theta_a') with R_a = sqrt(sigma_uu / sigma_ii)
-    and equal occupations sigma_aa = sigma_a'a' = sqrt(sigma_uu sigma_ii) /
-    (hbar |omega|)."""
-    if pair.sigma_ui != 0.0:
-        raise ModelError("matched decomposition assumes sigma_ui = 0; "
-                         "use noise_line_occupations for the general case")
-    r_a = np.sqrt(pair.sigma_uu / pair.sigma_ii)
-    sigma_aa, sigma_acac, _ = noise_line_occupations(pair, r_a, omega)
-    theta_a = effective_temperature(omega, sigma_aa)
-    theta_ac = effective_temperature(omega, sigma_acac)
-    return float(r_a), theta_a, theta_ac
-
-
 def recombine_noise_sources(r_a: float, sigma_aa: float, sigma_acac: float,
                             omega: float) -> OpAmpNoisePair:
-    """Inverse of the matched decomposition: rebuild (sigma_uu, sigma_ii,
-    sigma_ui) from the line occupations at impedance R_a."""
+    """Inverse of `noise_line_occupations` at the matched impedance R_a:
+    rebuild (sigma_uu, sigma_ii, sigma_ui) from the line occupations."""
     hw = HBAR * abs(omega)
     total = sigma_aa + sigma_acac
     return OpAmpNoisePair(
@@ -200,51 +170,3 @@ def recombine_noise_sources(r_a: float, sigma_aa: float, sigma_acac: float,
         sigma_ii=hw * total / (2.0 * r_a),
         sigma_ui=hw * (sigma_aa - sigma_acac) / 2.0,
     )
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    """Result of a commutator audit: Bogoliubov residual per output row and,
-    when the map exposes the op-amp noise lines, the reconstructed
-    [U, I] / (2 pi delta) value relative to hbar omega."""
-
-    row_residuals: Dict[str, float]
-    ui_commutator_residual: Optional[float] = None
-
-    @property
-    def max_row_residual(self) -> float:
-        return max(self.row_residuals.values())
-
-
-def commutator_audit(smap: ScatteringMap, omega: Optional[float] = None,
-                     decomposition_impedance: Optional[float] = None,
-                     noise_labels: Tuple[str, str] = ("a", "a_conj"),
-                     ) -> CommutatorReport:
-    """Audit a scattering map against the field commutation relations.
-
-    Always reports per-row Bogoliubov residuals.  Given omega and the
-    decomposition impedance of an op-amp map, additionally reconstructs the
-    U and I rows from the a, a' lines and checks that their
-    normal-minus-conjugated cross-coefficient equals hbar omega.
-    """
-    residuals = dict(zip(smap.out_labels, smap.row_residuals()))
-    ui_residual = None
-    if omega is not None and decomposition_impedance is not None:
-        r = decomposition_impedance
-        hw = HBAR * abs(omega)
-        # U row: sqrt(hw R/2) on a (normal), -sqrt(hw R/2) on a' (conj);
-        # I row: sqrt(hw/2R) on both.
-        u_coeffs = {noise_labels[0]: (np.sqrt(hw * r / 2.0), False),
-                    noise_labels[1]: (-np.sqrt(hw * r / 2.0), True)}
-        i_coeffs = {noise_labels[0]: (np.sqrt(hw / (2.0 * r)), False),
-                    noise_labels[1]: (np.sqrt(hw / (2.0 * r)), True)}
-        bilinear = 0.0
-        for lab in noise_labels:
-            cu, flag_u = u_coeffs[lab]
-            ci, flag_i = i_coeffs[lab]
-            if flag_u != flag_i:
-                raise ModelError("inconsistent conjugation flags in audit rows")
-            term = cu * np.conj(ci)
-            bilinear += -term if flag_u else term
-        ui_residual = abs(bilinear - hw) / hw
-    return CommutatorReport(residuals, ui_residual)

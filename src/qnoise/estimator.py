@@ -33,9 +33,6 @@ class EstimatorRow:
     coefficients: Dict[str, ModeCoefficient]
     units: str = ""
 
-    def coefficient(self, label: str) -> ModeCoefficient:
-        return self.coefficients[label]
-
 
 @dataclass
 class NoiseBudget:

@@ -17,12 +17,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import HBAR
 from .errors import DomainError, ModelError
 
 __all__ = [
     "NoiseLine",
-    "reactivity_residual",
     "ModeCoefficient",
     "ScatteringMap",
     "SpectrumTable",
@@ -32,7 +30,6 @@ __all__ = [
     "scattering_from_impedance",
     "propagate_spectra",
     "row_occupation",
-    "port_observables",
 ]
 
 #: relative anti-Hermiticity tolerance separating modeling errors from float noise
@@ -256,28 +253,3 @@ def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTabl
     """
     return SpectrumTable({lab: row_occupation(smap.row(lab), table)
                           for lab in smap.out_labels})
-
-
-def port_observables(smap: ScatteringMap, table: SpectrumTable, port: str,
-                     omega: float, resistance: float) -> Tuple[float, float]:
-    """Voltage and current PSD at `port` (impedance `resistance`) of a
-    passive map.
-
-    U = sqrt(hbar|w| R / 2)(a_out + a_in) and
-    I = sqrt(hbar|w| / 2R)(a_out - a_in), so the PSDs pick up the in/out
-    cross terms induced by S.
-    """
-    if port not in smap.out_labels:
-        raise ModelError(f"unknown port {port!r}")
-    if smap.conjugated.any():
-        raise ModelError("port observables are defined for passive maps")
-    i = smap.out_labels.index(port)
-    e_i = np.zeros(len(smap.in_labels))
-    e_i[smap.in_labels.index(port)] = 1.0
-    v_coeffs = smap.amplitude[i, :] + e_i
-    i_coeffs = smap.amplitude[i, :] - e_i
-    sigmas = np.array([table.sigma(lab) for lab in smap.in_labels])
-    scale = HBAR * abs(omega) / 2.0
-    sigma_uu = scale * resistance * float(np.sum(np.abs(v_coeffs) ** 2 * sigmas))
-    sigma_ii = scale / resistance * float(np.sum(np.abs(i_coeffs) ** 2 * sigmas))
-    return sigma_uu, sigma_ii

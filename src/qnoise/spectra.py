@@ -10,8 +10,7 @@ k_B T / (hbar |omega|) at high temperature.  The equivalent energy per mode
 is carried as an effective temperature Theta with k_B Theta = hbar|omega| sigma.
 
 omega = 0 is excluded: sigma diverges like 1/|omega| at DC while the
-energy-valued quantities stay finite, so DC callers must use the classical
-entry points instead of multiplying a divergent occupation by zero.
+energy-valued quantities stay finite.
 """
 
 import numpy as np
@@ -19,18 +18,7 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import DomainError
 
-__all__ = [
-    "symmetrized_occupation",
-    "effective_temperature",
-    "johnson_nyquist_voltage_psd",
-    "johnson_nyquist_classical",
-]
-
-
-def _check_omega(omega):
-    if np.any(np.asarray(omega) == 0.0):
-        raise DomainError("omega = 0 is outside the spectral domain; "
-                          "use the classical entry points at DC")
+__all__ = ["symmetrized_occupation"]
 
 
 def symmetrized_occupation(omega, temperature):
@@ -38,7 +26,8 @@ def symmetrized_occupation(omega, temperature):
 
     Depends only on |omega|; returns exactly 0.5 at T = 0.  Dimensionless.
     """
-    _check_omega(omega)
+    if np.any(np.asarray(omega) == 0.0):
+        raise DomainError("omega = 0 is outside the spectral domain")
     if np.any(np.asarray(temperature) < 0.0):
         raise DomainError("temperature must be >= 0")
     omega = np.abs(np.asarray(omega, dtype=float))
@@ -50,34 +39,3 @@ def symmetrized_occupation(omega, temperature):
     if sigma.ndim == 0:
         return float(sigma)
     return sigma
-
-
-def effective_temperature(omega, sigma):
-    """Effective temperature Theta with k_B Theta = hbar |omega| sigma (K)."""
-    _check_omega(omega)
-    if np.any(np.asarray(sigma) < 0.5 - 1e-12):
-        raise DomainError("occupation below the vacuum floor 1/2")
-    theta = HBAR * np.abs(np.asarray(omega, dtype=float)) * np.asarray(sigma) / K_B
-    if theta.ndim == 0:
-        return float(theta)
-    return theta
-
-
-def johnson_nyquist_voltage_psd(resistance, omega, temperature):
-    """Two-sided Johnson-Nyquist voltage PSD 2 R k_B Theta = 2 R hbar|omega| sigma.
-
-    Reduces to 2 R k_B T classically and to R hbar |omega| at T = 0.
-    """
-    if np.any(np.asarray(resistance) <= 0.0):
-        raise DomainError("resistance must be positive")
-    sigma = symmetrized_occupation(omega, temperature)
-    return 2.0 * resistance * HBAR * np.abs(omega) * sigma
-
-
-def johnson_nyquist_classical(resistance, temperature):
-    """Classical-limit (and DC-safe) Johnson-Nyquist PSD, 2 R k_B T."""
-    if np.any(np.asarray(resistance) <= 0.0):
-        raise DomainError("resistance must be positive")
-    if np.any(np.asarray(temperature) < 0.0):
-        raise DomainError("temperature must be >= 0")
-    return 2.0 * resistance * K_B * temperature

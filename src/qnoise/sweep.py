@@ -22,8 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .accelerometer import (MUSCOPE, AccelerometerConfig,
-                            build_accelerometer, sensitivity_report)
+from .accelerometer import MUSCOPE, AccelerometerConfig, build_accelerometer
 from .amplifier import IdealOpAmp, opamp_scattering
 from .constants import HBAR, K_B
 from .errors import QNoiseError
@@ -78,19 +77,22 @@ def preset_config(preset: PresetDecl,
     return dataclasses.replace(MUSCOPE, **kwargs)
 
 
-def _passive_map(doc: NetlistDocument, measured: List[str],
+def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
                  omegas: np.ndarray) -> Tuple[ScatteringMap, Dict]:
     """Rows of the passive network (every line outside an op-amp) for the
-    measured lines over the sweep, and the occupations of its lines.
+    lines of `measures` over the sweep, and the occupations of its lines.
 
     The network is solved once for all passive measures, in frequency
-    blocks of BLOCK_ENTRIES impedance-matrix entries each.
+    blocks of BLOCK_ENTRIES impedance-matrix entries each.  A measure whose
+    signal line no cap or ind path joins to its line is rejected before the
+    solve; one whose signal coefficient underflows to 0 is rejected after.
     """
     opamp_of = {line: d.name for d in doc.opamps for line in (d.left, d.right)}
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_of]
     index = {line.label: i for i, line in enumerate(lines)}
     ports = {}  # element name -> matrix indices of its ports, gnd is -1
+    component = list(range(len(lines)))  # of each line, joined by caps/inds
     for elem in doc.caps + doc.inds:
         # the parser lets a cap or ind reach a line a later op-amp terminates
         outside = [port for port in elem.ports if port in opamp_of]
@@ -100,6 +102,16 @@ def _passive_map(doc: NetlistDocument, measured: List[str],
                               "is outside the passive network")
         i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
         ports[elem.name] = (j, -1) if i < 0 else (i, j)
+        if i >= 0 and j >= 0:
+            old = component[i]
+            component = [component[j] if c == old else c for c in component]
+    for m in measures:
+        if m.signal in index and \
+                component[index[m.signal]] != component[index[m.line]]:
+            raise QNoiseError(f"measure {m.label}: signal line {m.signal!r} "
+                              f"shares no cap or ind path with line "
+                              f"{m.line!r}")
+    measured = sorted({m.line for m in measures})
     # Z(w) = A / w + w B, stamped once for the whole sweep
     a = impedance_matrix(len(lines), [
         (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
@@ -113,9 +125,19 @@ def _passive_map(doc: NetlistDocument, measured: List[str],
         w = omegas[start:start + block, None, None]
         pieces.append(scattering_from_impedance(
             a / w + w * b, lines, outputs=measured).amplitude)
+    amplitude = np.concatenate(pieces)
+    for m in measures:
+        if m.signal in index:
+            zero = amplitude[:, measured.index(m.line), index[m.signal]] == 0.0
+            if zero.any():
+                raise QNoiseError(
+                    f"measure {m.label}: signal coefficient of line "
+                    f"{m.signal!r} underflows to 0 at "
+                    f"{omegas[np.argmax(zero)] / (2.0 * math.pi):.6g} Hz "
+                    "(below the smallest double)")
     occupations = {line.label: symmetrized_occupation(omegas, line.temperature)
                    for line in lines}
-    return ScatteringMap(np.concatenate(pieces),
+    return ScatteringMap(amplitude,
                          np.zeros((len(measured), len(lines)), dtype=bool),
                          measured, list(index)), occupations
 
@@ -203,7 +225,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                               f"{g.input_line!r}, so it has no effect")
 
     opamp_by_line = {line: d for d in doc.opamps for line in (d.left, d.right)}
-    passive = [m.line for m in measures
+    passive = [m for m in measures
                if m.line != "muscope" and m.line not in opamp_by_line]
 
     omegas = 2.0 * math.pi * freqs_hz
@@ -212,11 +234,11 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     # overflow turns into inf/nan here, which is rejected below by name
     with np.errstate(all="ignore"):
         if passive:
-            smap, occupations = _passive_map(doc, sorted(set(passive)),
-                                             omegas)
+            smap, occupations = _passive_map(doc, passive, omegas)
         for measure in measures:
             if measure.line == "muscope":
-                budget = build_accelerometer(config).budget(omegas)
+                model = build_accelerometer(config)
+                budget = model.budget(omegas)
             elif measure.line in opamp_by_line:
                 budget = _opamp_budget(doc, opamp_by_line[measure.line],
                                        measure, omegas)
@@ -229,7 +251,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             records.extend(_budget_records(
                 measure.label, integrate_budget(budget, freqs_hz)))
             if measure.line == "muscope":
-                report = sensitivity_report(config)
+                report = model.report()
                 records += [{"estimator": measure.label, "source": src,
                              "band_integrated": value} for src, value in (
                     ("sigma_FF_at_measure_freq", report.sigma_ff),

@@ -79,7 +79,7 @@ class TestBuildAccelerometer:
     def test_estimator_unit_force_gain(self):
         model = build_accelerometer(MUSCOPE)
         row = model.estimator_row()
-        assert row.coefficient(MECH).amplitude == pytest.approx(1.0)
+        assert row.coefficients[MECH].amplitude == pytest.approx(1.0)
 
     def test_estimator_independent_of_loop_gain(self):
         # cold damping: the normalized force estimator does not change when
@@ -91,8 +91,8 @@ class TestBuildAccelerometer:
         ref = rows[0]
         for row in rows[1:]:
             for lab in ref.coefficients:
-                assert row.coefficient(lab).amplitude == \
-                    pytest.approx(ref.coefficient(lab).amplitude, rel=1e-12)
+                assert row.coefficients[lab].amplitude == \
+                    pytest.approx(ref.coefficients[lab].amplitude, rel=1e-12)
 
     def test_detection_noise_shrinks_with_coupling(self):
         strong = build_accelerometer(

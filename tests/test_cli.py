@@ -93,6 +93,21 @@ class TestRun:
         assert sff == pytest.approx(report.sigma_ff, rel=1e-9)
         assert asd == pytest.approx(1.2e-12, rel=0.05)
 
+    def test_muscope_builds_its_model_once(self, tmp_path, monkeypatch):
+        # the report rows come from the model that was swept, not a rebuild
+        import qnoise.accelerometer
+        import qnoise.sweep
+        build = qnoise.accelerometer.build_accelerometer
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return build(config)
+        for module in (qnoise.sweep, qnoise.accelerometer):
+            monkeypatch.setattr(module, "build_accelerometer", counted)
+        run(parse_netlist((DOCS / "muscope.qn").read_text()), str(tmp_path))
+        assert len(calls) == 1
+
     def test_budget_fractions_sum_to_one(self, tmp_path):
         doc = parse_netlist((DOCS / "opamp_readout.qn").read_text())
         paths = run(doc, str(tmp_path))

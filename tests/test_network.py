@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qnoise.constants import HBAR
 from qnoise.errors import DomainError, ModelError
 from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
                             capacitor_impedance, impedance_matrix,
-                            inductor_impedance, port_observables,
+                            inductor_impedance,
                             propagate_spectra, reactivity_residual,
                             scattering_from_impedance)
 
@@ -247,46 +246,3 @@ class TestPropagation:
         smap = ScatteringMap(np.eye(1), np.zeros((1, 1), bool), ["a"], ["a"])
         with pytest.raises(ModelError):
             propagate_spectra(smap, SpectrumTable({"b": 0.5}))
-
-
-class TestPortObservables:
-    def test_short_is_voltage_node(self):
-        r, omega, sigma = 50.0, 1e6, 3.0
-        smap = ScatteringMap(np.array([[-1.0]]), np.array([[False]]),
-                             ["p"], ["p"])
-        suu, sii = port_observables(smap, SpectrumTable({"p": sigma}),
-                                    "p", omega, r)
-        assert suu == pytest.approx(0.0, abs=1e-30)
-        assert sii == pytest.approx(4 * (HBAR * omega / (2 * r)) * sigma)
-
-    def test_open_is_current_node(self):
-        r, omega, sigma = 50.0, 1e6, 3.0
-        smap = ScatteringMap(np.array([[1.0]]), np.array([[False]]),
-                             ["p"], ["p"])
-        suu, sii = port_observables(smap, SpectrumTable({"p": sigma}),
-                                    "p", omega, r)
-        assert sii == pytest.approx(0.0, abs=1e-30)
-        assert suu == pytest.approx(4 * (HBAR * omega * r / 2) * sigma)
-
-    def test_matched_two_port_johnson_partition(self):
-        # two equal resistances coupled reactively: each port voltage PSD
-        # stays consistent with the equilibrium Johnson value
-        from qnoise.spectra import johnson_nyquist_voltage_psd, \
-            symmetrized_occupation
-        r, temperature, omega = 1e3, 300.0, 1e7
-        lines = [NoiseLine(r, temperature, "p0"), NoiseLine(r, temperature,
-                                                            "p1")]
-        z = impedance_matrix(2, [(capacitor_impedance(1e-10, omega), 0, 1)])
-        smap = scattering_from_impedance(z, lines)
-        sigma = symmetrized_occupation(omega, temperature)
-        table = SpectrumTable({"p0": sigma, "p1": sigma})
-        suu, sii = port_observables(smap, table, "p0", omega, r)
-        # at equilibrium, sigma_UU + R^2 sigma_II equals twice the Johnson PSD
-        # (the U and I quadratures share the total line noise power)
-        johnson = johnson_nyquist_voltage_psd(r, omega, temperature)
-        assert suu + r ** 2 * sii == pytest.approx(2 * johnson, rel=1e-10)
-
-    def test_unknown_port(self):
-        smap = ScatteringMap(np.eye(1), np.zeros((1, 1), bool), ["a"], ["a"])
-        with pytest.raises(ModelError):
-            port_observables(smap, SpectrumTable({"a": 0.5}), "zz", 1.0, 50.0)

@@ -5,9 +5,7 @@ import pytest
 
 from qnoise.constants import HBAR, K_B
 from qnoise.errors import DomainError
-from qnoise.spectra import (effective_temperature, johnson_nyquist_classical,
-                            johnson_nyquist_voltage_psd,
-                            symmetrized_occupation)
+from qnoise.spectra import symmetrized_occupation
 
 # independently evaluated: coth(1) = (e^2+1)/(e^2-1)
 COTH_1 = (math.e ** 2 + 1.0) / (math.e ** 2 - 1.0)
@@ -78,65 +76,3 @@ class TestSymmetrizedOccupation:
         omegas = np.array([1.0, 10.0, 100.0])
         sigmas = symmetrized_occupation(omegas, 0.0)
         np.testing.assert_array_equal(sigmas, 0.5)
-
-
-class TestEffectiveTemperature:
-    def test_zero_point(self):
-        omega = 2 * math.pi * 1e9
-        assert effective_temperature(omega, 0.5) == \
-            pytest.approx(HBAR * omega / (2 * K_B), rel=1e-14)
-
-    def test_classical_limit_recovers_temperature(self):
-        temperature = 300.0
-        omega = omega_for_ratio(1e-3, temperature)
-        theta = effective_temperature(
-            omega, symmetrized_occupation(omega, temperature))
-        assert 1.0 <= theta / temperature <= 1.0 + 1e-6
-
-    def test_coth_point(self):
-        temperature = 10.0
-        omega = omega_for_ratio(2.0, temperature)
-        theta = effective_temperature(
-            omega, symmetrized_occupation(omega, temperature))
-        assert theta == pytest.approx(temperature * COTH_1, rel=1e-12)
-
-    def test_quantum_floor_lifts_classical_value(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            omega = rng.uniform(1.0, 1e12)
-            temperature = rng.uniform(0.0, 1e3)
-            theta = effective_temperature(
-                omega, symmetrized_occupation(omega, temperature))
-            assert theta >= max(temperature,
-                                HBAR * omega / (2 * K_B)) * (1 - 1e-12)
-
-    def test_rejects_below_vacuum(self):
-        with pytest.raises(DomainError):
-            effective_temperature(1.0, 0.3)
-
-
-class TestJohnsonNyquist:
-    def test_classical_room_temperature(self):
-        # 2 R k_B T with CODATA k_B; half the one-sided 4 k_B T R
-        omega = omega_for_ratio(1e-8, 300.0)
-        psd = johnson_nyquist_voltage_psd(1000.0, omega, 300.0)
-        assert psd == pytest.approx(8.283894e-18, rel=1e-6)
-        assert psd == pytest.approx(4 * K_B * 300.0 * 1000.0 / 2, rel=1e-6)
-        assert johnson_nyquist_classical(1000.0, 300.0) == \
-            pytest.approx(8.283894e-18, rel=1e-7)
-
-    def test_zero_temperature_floor(self):
-        omega = 2 * math.pi * 1e9
-        assert johnson_nyquist_voltage_psd(50.0, omega, 0.0) == \
-            pytest.approx(50.0 * HBAR * omega, rel=1e-14)
-
-    def test_amplifier_line_parameters(self):
-        # R = 0.15e6 ohm at effective temperature 1.5 K
-        assert johnson_nyquist_classical(0.15e6, 1.5) == \
-            pytest.approx(6.2129205e-18, rel=1e-7)
-
-    def test_rejects_nonpositive_resistance(self):
-        with pytest.raises(DomainError):
-            johnson_nyquist_voltage_psd(0.0, 1.0, 300.0)
-        with pytest.raises(DomainError):
-            johnson_nyquist_classical(-5.0, 300.0)
