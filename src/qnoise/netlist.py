@@ -1,18 +1,10 @@
 """Netlist front end: a small line-oriented grammar for noise networks.
 
-Declarations (one per line, `#` starts a comment, keywords case-sensitive):
-
-    line <name> R=<ohm> T=<kelvin>
-    cap <name> C=<farad> ports=(<line|gnd>,<line|gnd>)
-    ind <name> L=<henry> ports=(<line|gnd>,<line|gnd>)
-    opamp <name> left=<line> right=<line> Zf=cap:<farad> R_a=<ohm> Theta_a=<K>
-    gain <name> in=<line> G=<complex> T_b=<kelvin>
-    sweep <f_min_Hz> <f_max_Hz> <n_points> <lin|log>
-    measure <line> as <label> signal=<line or builtin>
-    preset muscope [key=value ...]
-
-Numbers accept scientific notation and SI suffixes k M G m u n p f, and
-must be finite.
+One declaration per line, `#` starts a comment, keywords are
+case-sensitive.  `_GRAMMAR` at the end of this module is the grammar: each
+keyword maps to its record and the ordered fields of its line, which
+`parse_netlist` reads and `format_netlist` writes back.  Numbers accept
+scientific notation and SI suffixes k M G m u n p f, and must be finite.
 Parsing is single pass, first error wins; errors carry 1-based line and
 column positions into the source text.
 """
@@ -20,7 +12,7 @@ column positions into the source text.
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .errors import QNoiseError
 
@@ -188,34 +180,13 @@ def _tokenize(text: str) -> List[List[_Token]]:
     return rows
 
 
-class _LineParser:
-    """Cursor over the tokens of one declaration line."""
-
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _eol_error(self, expected: str) -> NetlistParseError:
-        last = self.tokens[-1]
-        return NetlistParseError(last.line, last.column + len(last.text),
-                                 "<end of line>", f"expected {expected}")
-
-    def take(self, expected: str) -> _Token:
-        if self.pos >= len(self.tokens):
-            raise self._eol_error(expected)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def done(self):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise NetlistParseError(tok.line, tok.column, tok.text,
-                                    "unexpected trailing token")
-
-
 def _err(tok: _Token, message: str) -> NetlistParseError:
     return NetlistParseError(tok.line, tok.column, tok.text, message)
+
+
+def _after(tok: _Token, text: str) -> _Token:
+    """Token `text` just past the end of `tok`."""
+    return _Token(text, tok.line, tok.column + len(tok.text))
 
 
 def parse_number(text: str) -> float:
@@ -231,56 +202,26 @@ def parse_number(text: str) -> float:
     return value
 
 
-def _parse_number(tok: _Token, text: Optional[str] = None) -> float:
+def _parse_number(tok: _Token, text: str) -> float:
     try:
-        return parse_number(tok.text if text is None else text)
+        return parse_number(text)
     except ValueError as exc:
         raise _err(tok, str(exc)) from None
 
 
-def _parse_complex(tok: _Token, text: str) -> complex:
-    match = _COMPLEX_RE.match(text)
-    if not match:
-        raise _err(tok, "expected a complex number like 2 or 1.5-0.5i")
-    real = _parse_number(tok, match.group("re"))
-    imag = _parse_number(tok, match.group("im")) if match.group("im") else 0.0
-    return complex(real, imag)
-
-
-def _parse_name(tok: _Token, what: str = "name") -> str:
+def _parse_name(tok: _Token, phrase: str) -> str:
     if not _NAME_RE.match(tok.text):
-        raise _err(tok, f"expected a {what} (letters, digits, underscore)")
+        raise _err(tok, f"expected a {phrase.split(' ', 1)[1]} "
+                        "(letters, digits, underscore)")
     return tok.text
-
-
-def _kv(tok: _Token, key: str) -> str:
-    prefix = key + "="
-    if not tok.text.startswith(prefix):
-        raise _err(tok, f"expected {key}=<value>")
-    value = tok.text[len(prefix):]
-    if not value:
-        raise _err(tok, f"expected a value after {key}=")
-    return value
-
-
-def _positive(tok: _Token, value: float, what: str) -> float:
-    if not value > 0.0:
-        raise _err(tok, f"{what} must be positive")
-    return value
-
-
-def _nonnegative(tok: _Token, value: float, what: str) -> float:
-    if value < 0.0:
-        raise _err(tok, f"{what} must be >= 0")
-    return value
 
 
 class _Parser:
     def __init__(self):
         self.declarations: List[object] = []
-        self.names: Dict[str, _Token] = {}
-        self.line_names: Dict[str, LineDecl] = {}
-        self.labels: Dict[str, _Token] = {}
+        self.names: Set[str] = set()
+        self.line_names: Set[str] = set()
+        self.labels: Set[str] = set()
         self.opamp_lines: Dict[str, str] = {}  # line name -> opamp name
         self.sweep_seen: Optional[_Token] = None
         self.preset_seen: Optional[_Token] = None
@@ -288,13 +229,12 @@ class _Parser:
     def declare(self, tok: _Token, name: str):
         if name in self.names or name == "gnd":
             raise _err(tok, f"duplicate name {name!r}")
-        self.names[name] = tok
+        self.names.add(name)
 
-    def require_line(self, tok: _Token, name: str) -> LineDecl:
-        decl = self.line_names.get(name)
-        if decl is None:
+    def require_line(self, tok: _Token, name: str) -> str:
+        if name not in self.line_names:
             raise _err(tok, f"unknown line {name!r} (must be declared first)")
-        return decl
+        return name
 
     def require_port(self, tok: _Token, name: str) -> str:
         if name == "gnd":
@@ -306,206 +246,260 @@ class _Parser:
         return name
 
     def parse_decl(self, tokens: List[_Token]):
-        lp = _LineParser(tokens)
-        head = lp.take("a declaration keyword")
-        handler = {
-            "line": self._parse_line,
-            "cap": self._parse_cap,
-            "ind": self._parse_ind,
-            "opamp": self._parse_opamp,
-            "gain": self._parse_gain,
-            "sweep": self._parse_sweep,
-            "measure": self._parse_measure,
-            "preset": self._parse_preset,
-        }.get(head.text)
-        if handler is None:
-            raise _err(head, "expected one of: line cap ind opamp gain "
-                             "sweep measure preset")
-        handler(lp)
-        lp.done()
-
-    def _parse_line(self, lp: _LineParser):
-        name_tok = lp.take("a line name")
-        name = _parse_name(name_tok, "line name")
-        self.declare(name_tok, name)
-        r_tok = lp.take("R=<ohm>")
-        resistance = _positive(r_tok, _parse_number(r_tok, _kv(r_tok, "R")),
-                               "R")
-        t_tok = lp.take("T=<kelvin>")
-        temperature = _nonnegative(t_tok, _parse_number(t_tok, _kv(t_tok, "T")),
-                                   "T")
-        decl = LineDecl(name, resistance, temperature)
-        self.line_names[name] = decl
-        self.declarations.append(decl)
-
-    def _parse_two_ports(self, lp: _LineParser) -> Tuple[str, str]:
-        tok = lp.take("ports=(<p1>,<p2>)")
-        value = _kv(tok, "ports")
-        match = re.match(r"^\((\w+),(\w+)\)$", value)
-        if not match:
-            raise _err(tok, "expected ports=(<p1>,<p2>)")
-        p1 = self.require_port(tok, match.group(1))
-        p2 = self.require_port(tok, match.group(2))
-        if p1 == "gnd" and p2 == "gnd":
-            raise _err(tok, "at least one port must be a line")
-        return p1, p2
-
-    def _parse_cap(self, lp: _LineParser):
-        name_tok = lp.take("a capacitor name")
-        name = _parse_name(name_tok, "capacitor name")
-        self.declare(name_tok, name)
-        c_tok = lp.take("C=<farad>")
-        value = _positive(c_tok, _parse_number(c_tok, _kv(c_tok, "C")), "C")
-        ports = self._parse_two_ports(lp)
-        self.declarations.append(CapDecl(name, value, ports))
-
-    def _parse_ind(self, lp: _LineParser):
-        name_tok = lp.take("an inductor name")
-        name = _parse_name(name_tok, "inductor name")
-        self.declare(name_tok, name)
-        l_tok = lp.take("L=<henry>")
-        value = _positive(l_tok, _parse_number(l_tok, _kv(l_tok, "L")), "L")
-        ports = self._parse_two_ports(lp)
-        self.declarations.append(IndDecl(name, value, ports))
-
-    def _parse_opamp(self, lp: _LineParser):
-        name_tok = lp.take("an op-amp name")
-        name = _parse_name(name_tok, "op-amp name")
-        self.declare(name_tok, name)
-        left_tok = lp.take("left=<line>")
-        left = _kv(left_tok, "left")
-        self.require_port(left_tok, left)
-        if left == "gnd":
-            raise _err(left_tok, "op-amp ports must be lines")
-        right_tok = lp.take("right=<line>")
-        right = _kv(right_tok, "right")
-        self.require_port(right_tok, right)
-        if right == "gnd":
-            raise _err(right_tok, "op-amp ports must be lines")
-        if right == left:
-            raise _err(right_tok, "left and right lines must differ")
-        zf_tok = lp.take("Zf=cap:<farad>")
-        zf_value = _kv(zf_tok, "Zf")
-        if not zf_value.startswith("cap:"):
-            raise _err(zf_tok, "only capacitive feedback Zf=cap:<farad> "
-                               "is supported")
-        c_f = _positive(zf_tok, _parse_number(zf_tok, zf_value[4:]), "Zf cap")
-        ra_tok = lp.take("R_a=<ohm>")
-        r_a = _positive(ra_tok, _parse_number(ra_tok, _kv(ra_tok, "R_a")),
-                        "R_a")
-        th_tok = lp.take("Theta_a=<K>")
-        theta_a = _positive(th_tok,
-                            _parse_number(th_tok, _kv(th_tok, "Theta_a")),
-                            "Theta_a")
-        self.opamp_lines[left] = name
-        self.opamp_lines[right] = name
-        self.declarations.append(
-            OpAmpDecl(name, left, right, c_f, r_a, theta_a))
-
-    def _parse_gain(self, lp: _LineParser):
-        name_tok = lp.take("a gain-stage name")
-        name = _parse_name(name_tok, "gain-stage name")
-        self.declare(name_tok, name)
-        in_tok = lp.take("in=<line>")
-        input_line = _kv(in_tok, "in")
-        self.require_line(in_tok, input_line)
-        g_tok = lp.take("G=<complex>")
-        gain = _parse_complex(g_tok, _kv(g_tok, "G"))
-        if abs(gain) < 1.0:
-            raise _err(g_tok, "|G| must be >= 1 (model attenuation passively)")
-        tb_tok = lp.take("T_b=<kelvin>")
-        t_b = _nonnegative(tb_tok, _parse_number(tb_tok, _kv(tb_tok, "T_b")),
-                           "T_b")
-        self.declarations.append(GainDecl(name, input_line, gain, t_b))
-
-    def _parse_sweep(self, lp: _LineParser):
-        head = self.sweep_seen
-        tok_min = lp.take("<f_min_Hz>")
-        if head is not None:
-            raise _err(tok_min, "duplicate sweep (exactly one allowed)")
-        f_min = _positive(tok_min, _parse_number(tok_min), "f_min")
-        tok_max = lp.take("<f_max_Hz>")
-        f_max = _positive(tok_max, _parse_number(tok_max), "f_max")
-        if f_max < f_min:
-            raise _err(tok_max, "f_max must be >= f_min")
-        tok_n = lp.take("<n_points>")
-        n_value = _parse_number(tok_n)
-        if n_value != int(n_value) or int(n_value) < 1:
-            raise _err(tok_n, "n_points must be a positive integer")
-        tok_scale = lp.take("lin|log")
-        if tok_scale.text not in ("lin", "log"):
-            raise _err(tok_scale, "expected lin or log")
-        self.sweep_seen = tok_min
-        self.declarations.append(
-            SweepDecl(f_min, f_max, int(n_value), tok_scale.text))
-
-    def _parse_measure(self, lp: _LineParser):
-        line_tok = lp.take("a line to measure")
-        line = _parse_name(line_tok, "line name")
-        if line == "muscope":
-            if self.preset_seen is None:
-                raise _err(line_tok, "measure muscope requires the muscope "
-                                     "preset")
-        else:
-            self.require_line(line_tok, line)
-        as_tok = lp.take("as")
-        if as_tok.text != "as":
-            raise _err(as_tok, "expected 'as'")
-        label_tok = lp.take("an estimator label")
-        label = _parse_name(label_tok, "estimator label")
-        if label in self.labels:
-            raise _err(label_tok, f"duplicate estimator label {label!r}")
-        self.labels[label] = label_tok
-        sig_tok = lp.take("signal=<line or builtin>")
-        signal = _kv(sig_tok, "signal")
-        if signal == "force":
-            if line != "muscope":
-                raise _err(sig_tok, "builtin signal 'force' only applies to "
-                                    "the muscope preset")
-        elif not _NAME_RE.match(signal):
-            raise _err(sig_tok, "expected a line name or builtin")
-        else:
-            self.require_line(sig_tok, signal)
-        self.declarations.append(MeasureDecl(line, label, signal))
-
-    def _parse_preset(self, lp: _LineParser):
-        name_tok = lp.take("a preset name")
-        if name_tok.text != "muscope":
-            raise _err(name_tok, "unknown preset (available: muscope)")
-        if self.preset_seen is not None:
-            raise _err(name_tok, "duplicate preset")
-        self.preset_seen = name_tok
-        overrides = []
-        seen = set()
-        while lp.pos < len(lp.tokens):
-            tok = lp.take("key=value override")
-            if "=" not in tok.text:
-                raise _err(tok, "expected key=value override")
-            key, _, raw = tok.text.partition("=")
-            if key not in PRESET_KEYS:
-                raise _err(tok, f"unknown preset parameter {key!r} "
-                                f"(one of: {' '.join(PRESET_KEYS)})")
-            if key in seen:
-                raise _err(tok, f"duplicate override {key!r}")
-            seen.add(key)
-            if not raw:
-                raise _err(tok, f"expected a value after {key}=")
-            overrides.append((key, _parse_number(tok, raw)))
-        self.declarations.append(PresetDecl("muscope", tuple(overrides)))
+        """One declaration: its keyword, then the fields `_GRAMMAR` lists
+        for it, in order."""
+        head, rest = tokens[0], iter(tokens[1:])
+        if head.text not in _GRAMMAR:
+            raise _err(head, "expected one of: " + " ".join(_GRAMMAR))
+        record, fields = _GRAMMAR[head.text]
+        values = []
+        for field in fields:
+            if field.key is _REST:
+                items = []
+                for tok in rest:
+                    items.append(field.parse(self, tok, tok.text, items))
+                values.append(tuple(items))
+                continue
+            tok = next(rest, None)
+            if tok is None:
+                raise _err(_after(tokens[-1], "<end of line>"),
+                           f"expected {field.phrase}")
+            text = tok.text
+            if field.key is not None:
+                key, sep, text = tok.text.partition("=")
+                if key != field.key or not sep:
+                    raise _err(tok, f"expected {field.key}=<value>")
+                if not text:
+                    raise _err(tok, f"expected a value after {key}=")
+            if field.show is None:  # a literal
+                if text != field.phrase:
+                    raise _err(tok, f"expected {field.phrase!r}")
+                continue
+            values.append(field.parse(self, tok, text, values))
+        tok = next(rest, None)
+        if tok is not None:
+            raise _err(tok, "unexpected trailing token")
+        self.declarations.append(record(*values))
 
     def finish(self, rows: List[List[_Token]]) -> NetlistDocument:
-        if rows:
-            last = rows[-1][-1]
-            eof = _Token("<end of file>", last.line,
-                         last.column + len(last.text))
-        else:
-            eof = _Token("<end of file>", 1, 1)
+        eof = _after(rows[-1][-1], "<end of file>") if rows \
+            else _Token("<end of file>", 1, 1)
         if self.preset_seen is None:
             if self.sweep_seen is None:
                 raise _err(eof, "missing sweep declaration")
             if not self.labels:
                 raise _err(eof, "missing measure declaration")
         return NetlistDocument(tuple(self.declarations))
+
+
+#: key of the field that takes every remaining token of its line
+_REST = object()
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One field of a declaration line.  `key` is the `key=` prefix of its
+    token, None for a bare token, or _REST.  `phrase` is what an "expected
+    ..." message names.  `parse(parser, token, text, values)` checks the
+    text after the prefix against the values parsed so far (for _REST, the
+    items so far) and returns the value; `show(value)` writes it back.  A
+    field without `show` is the literal `phrase` and keeps no value."""
+
+    key: object
+    phrase: str
+    parse: Optional[Callable]
+    show: Optional[Callable] = None
+
+
+def _bounded(tok: _Token, text: str, what: str, strict: bool = True):
+    """Number that must be positive, or >= 0 if not `strict`."""
+    value = _parse_number(tok, text)
+    if strict and not value > 0.0:
+        raise _err(tok, f"{what} must be positive")
+    if value < 0.0:
+        raise _err(tok, f"{what} must be >= 0")
+    return value
+
+
+def _quantity(key: str, unit: str, strict: bool = True) -> _Field:
+    return _Field(key, f"{key}=<{unit}>", lambda p, tok, text, values:
+                  _bounded(tok, text, key, strict), repr)
+
+
+def _name(phrase: str, line: bool = False) -> _Field:
+    """Field of a declared name; a `line` name is also a line."""
+    def parse(p: _Parser, tok: _Token, text: str, values) -> str:
+        p.declare(tok, _parse_name(tok, phrase))
+        if line:
+            p.line_names.add(text)
+        return text
+    return _Field(None, phrase, parse, str)
+
+
+def _ports(p: _Parser, tok: _Token, text: str, values) -> Tuple[str, str]:
+    match = re.match(r"^\((\w+),(\w+)\)$", text)
+    if not match:
+        raise _err(tok, "expected ports=(<p1>,<p2>)")
+    p1 = p.require_port(tok, match.group(1))
+    p2 = p.require_port(tok, match.group(2))
+    if p1 == "gnd" and p2 == "gnd":
+        raise _err(tok, "at least one port must be a line")
+    return p1, p2
+
+
+def _opamp_line(p: _Parser, tok: _Token, text: str, values) -> str:
+    p.require_port(tok, text)
+    if text == "gnd":
+        raise _err(tok, "op-amp ports must be lines")
+    if len(values) == 2:  # the right line: both lines are checked now
+        if text == values[1]:
+            raise _err(tok, "left and right lines must differ")
+        p.opamp_lines[values[1]] = p.opamp_lines[text] = values[0]
+    return text
+
+
+def _feedback(p: _Parser, tok: _Token, text: str, values) -> float:
+    if not text.startswith("cap:"):
+        raise _err(tok, "only capacitive feedback Zf=cap:<farad> is supported")
+    return _bounded(tok, text[4:], "Zf cap")
+
+
+def _gain(p: _Parser, tok: _Token, text: str, values) -> complex:
+    match = _COMPLEX_RE.match(text)
+    if not match:
+        raise _err(tok, "expected a complex number like 2 or 1.5-0.5i")
+    imag = match.group("im")
+    gain = complex(_parse_number(tok, match.group("re")),
+                   _parse_number(tok, imag) if imag else 0.0)
+    if abs(gain) < 1.0:
+        raise _err(tok, "|G| must be >= 1 (model attenuation passively)")
+    return gain
+
+
+def _show_gain(value: complex) -> str:
+    if value.imag == 0.0:
+        return repr(value.real)
+    sign = "+" if value.imag >= 0 else "-"
+    return f"{value.real!r}{sign}{abs(value.imag)!r}i"
+
+
+def _f_min(p: _Parser, tok: _Token, text: str, values) -> float:
+    if p.sweep_seen is not None:
+        raise _err(tok, "duplicate sweep (exactly one allowed)")
+    p.sweep_seen = tok
+    return _bounded(tok, text, "f_min")
+
+
+def _f_max(p: _Parser, tok: _Token, text: str, values) -> float:
+    f_max = _bounded(tok, text, "f_max")
+    if f_max < values[0]:
+        raise _err(tok, "f_max must be >= f_min")
+    return f_max
+
+
+def _n_points(p: _Parser, tok: _Token, text: str, values) -> int:
+    n_value = _parse_number(tok, text)
+    if n_value != int(n_value) or int(n_value) < 1:
+        raise _err(tok, "n_points must be a positive integer")
+    return int(n_value)
+
+
+def _scale(p: _Parser, tok: _Token, text: str, values) -> str:
+    if text not in ("lin", "log"):
+        raise _err(tok, "expected lin or log")
+    return text
+
+
+def _measured_line(p: _Parser, tok: _Token, text: str, values) -> str:
+    _parse_name(tok, "a line name")
+    if text != "muscope":
+        p.require_line(tok, text)
+    elif p.preset_seen is None:
+        raise _err(tok, "measure muscope requires the muscope preset")
+    return text
+
+
+def _label(p: _Parser, tok: _Token, text: str, values) -> str:
+    _parse_name(tok, "an estimator label")
+    if text in p.labels:
+        raise _err(tok, f"duplicate estimator label {text!r}")
+    p.labels.add(text)
+    return text
+
+
+def _signal(p: _Parser, tok: _Token, text: str, values) -> str:
+    if text == "force":
+        if values[0] != "muscope":
+            raise _err(tok, "builtin signal 'force' only applies to the "
+                            "muscope preset")
+    elif not _NAME_RE.match(text):
+        raise _err(tok, "expected a line name or builtin")
+    else:
+        p.require_line(tok, text)
+    return text
+
+
+def _preset(p: _Parser, tok: _Token, text: str, values) -> str:
+    if text != "muscope":
+        raise _err(tok, "unknown preset (available: muscope)")
+    if p.preset_seen is not None:
+        raise _err(tok, "duplicate preset")
+    p.preset_seen = tok
+    return text
+
+
+def _override(p: _Parser, tok: _Token, text: str, items) -> Tuple[str, float]:
+    if "=" not in text:
+        raise _err(tok, "expected key=value override")
+    key, _, raw = text.partition("=")
+    if key not in PRESET_KEYS:
+        raise _err(tok, f"unknown preset parameter {key!r} "
+                        f"(one of: {' '.join(PRESET_KEYS)})")
+    if key in dict(items):
+        raise _err(tok, f"duplicate override {key!r}")
+    if not raw:
+        raise _err(tok, f"expected a value after {key}=")
+    return key, _parse_number(tok, raw)
+
+
+_PORTS = _Field("ports", "ports=(<p1>,<p2>)", _ports,
+                lambda ports: "({},{})".format(*ports))
+
+#: the grammar: keyword -> (record, fields of its line in order)
+_GRAMMAR = {
+    "line": (LineDecl, [_name("a line name", line=True),
+                        _quantity("R", "ohm"),
+                        _quantity("T", "kelvin", strict=False)]),
+    "cap": (CapDecl, [_name("a capacitor name"), _quantity("C", "farad"),
+                      _PORTS]),
+    "ind": (IndDecl, [_name("an inductor name"), _quantity("L", "henry"),
+                      _PORTS]),
+    "opamp": (OpAmpDecl, [
+        _name("an op-amp name"),
+        _Field("left", "left=<line>", _opamp_line, str),
+        _Field("right", "right=<line>", _opamp_line, str),
+        _Field("Zf", "Zf=cap:<farad>", _feedback, lambda c: f"cap:{c!r}"),
+        _quantity("R_a", "ohm"), _quantity("Theta_a", "K")]),
+    "gain": (GainDecl, [_name("a gain-stage name"),
+                        _Field("in", "in=<line>", lambda p, tok, text, v:
+                               p.require_line(tok, text), str),
+                        _Field("G", "G=<complex>", _gain, _show_gain),
+                        _quantity("T_b", "kelvin", strict=False)]),
+    "sweep": (SweepDecl, [_Field(None, "<f_min_Hz>", _f_min, repr),
+                          _Field(None, "<f_max_Hz>", _f_max, repr),
+                          _Field(None, "<n_points>", _n_points, str),
+                          _Field(None, "lin|log", _scale, str)]),
+    "measure": (MeasureDecl, [
+        _Field(None, "a line to measure", _measured_line, str),
+        _Field(None, "as", None),
+        _Field(None, "an estimator label", _label, str),
+        _Field("signal", "signal=<line or builtin>", _signal, str)]),
+    "preset": (PresetDecl, [
+        _Field(None, "a preset name", _preset, str),
+        _Field(_REST, "key=value override", _override,
+               lambda items: " ".join(f"{k}={v!r}" for k, v in items))]),
+}
+_KEYWORD = {record: keyword for keyword, (record, _) in _GRAMMAR.items()}
 
 
 def parse_netlist(text: str) -> NetlistDocument:
@@ -517,47 +511,18 @@ def parse_netlist(text: str) -> NetlistDocument:
     return parser.finish(rows)
 
 
-def _fmt_complex(value: complex) -> str:
-    if value.imag == 0.0:
-        return repr(value.real)
-    sign = "+" if value.imag >= 0 else "-"
-    return f"{value.real!r}{sign}{abs(value.imag)!r}i"
-
-
 def format_netlist(doc: NetlistDocument) -> str:
     """Canonical text of a document; reparses to an equal document."""
     out = []
     for decl in doc.declarations:
-        if isinstance(decl, LineDecl):
-            out.append(f"line {decl.name} R={decl.resistance!r} "
-                       f"T={decl.temperature!r}")
-        elif isinstance(decl, CapDecl):
-            out.append(f"cap {decl.name} C={decl.capacitance!r} "
-                       f"ports=({decl.ports[0]},{decl.ports[1]})")
-        elif isinstance(decl, IndDecl):
-            out.append(f"ind {decl.name} L={decl.inductance!r} "
-                       f"ports=({decl.ports[0]},{decl.ports[1]})")
-        elif isinstance(decl, OpAmpDecl):
-            out.append(f"opamp {decl.name} left={decl.left} "
-                       f"right={decl.right} "
-                       f"Zf=cap:{decl.feedback_capacitance!r} "
-                       f"R_a={decl.amp_impedance!r} "
-                       f"Theta_a={decl.amp_temperature!r}")
-        elif isinstance(decl, GainDecl):
-            out.append(f"gain {decl.name} in={decl.input_line} "
-                       f"G={_fmt_complex(decl.gain)} "
-                       f"T_b={decl.noise_temperature!r}")
-        elif isinstance(decl, SweepDecl):
-            out.append(f"sweep {decl.f_min_hz!r} "
-                       f"{decl.f_max_hz!r} {decl.n_points} "
-                       f"{decl.scale}")
-        elif isinstance(decl, MeasureDecl):
-            out.append(f"measure {decl.line} as {decl.label} "
-                       f"signal={decl.signal}")
-        elif isinstance(decl, PresetDecl):
-            parts = [f"preset {decl.name}"]
-            parts.extend(f"{k}={v!r}" for k, v in decl.overrides)
-            out.append(" ".join(parts))
-        else:
+        if type(decl) not in _KEYWORD:
             raise TypeError(f"unknown declaration {decl!r}")
+        keyword = _KEYWORD[type(decl)]
+        values = iter(vars(decl).values())
+        parts = [keyword]
+        for field in _GRAMMAR[keyword][1]:
+            text = field.show(next(values)) if field.show else field.phrase
+            parts.append(text if field.key in (None, _REST)
+                         else f"{field.key}={text}")
+        out.append(" ".join(part for part in parts if part))
     return "\n".join(out) + "\n"
