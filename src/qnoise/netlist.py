@@ -211,8 +211,7 @@ def _parse_number(tok: _Token, text: str) -> float:
 
 def _parse_name(tok: _Token, phrase: str) -> str:
     if not _NAME_RE.match(tok.text):
-        raise _err(tok, f"expected a {phrase.split(' ', 1)[1]} "
-                        "(letters, digits, underscore)")
+        raise _err(tok, f"expected {phrase} (letters, digits, underscore)")
     return tok.text
 
 
@@ -227,7 +226,9 @@ class _Parser:
         self.preset_seen: Optional[_Token] = None
 
     def declare(self, tok: _Token, name: str):
-        if name in self.names or name == "gnd":
+        if name in ("gnd", "muscope", "force"):
+            raise _err(tok, f"reserved name {name!r} (gnd, muscope, force)")
+        if name in self.names:
             raise _err(tok, f"duplicate name {name!r}")
         self.names.add(name)
 
@@ -428,6 +429,8 @@ def _label(p: _Parser, tok: _Token, text: str, values) -> str:
 
 
 def _signal(p: _Parser, tok: _Token, text: str, values) -> str:
+    if values[0] == "muscope" and text != "force":
+        raise _err(tok, "measure muscope takes only signal=force")
     if text == "force":
         if values[0] != "muscope":
             raise _err(tok, "builtin signal 'force' only applies to the "

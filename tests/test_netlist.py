@@ -133,6 +133,37 @@ class TestErrors:
                           "measure muscope as acc signal=force\n")
         assert "preset" in exc.value.message
 
+    @pytest.mark.parametrize("name", ["gnd", "muscope", "force"])
+    @pytest.mark.parametrize("decl", ["line {} R=50 T=0",
+                                      "cap {} C=1n ports=(a,gnd)",
+                                      "gain {} in=a G=2 T_b=0"])
+    def test_reserved_names_rejected_where_declared(self, decl, name):
+        with pytest.raises(NetlistParseError) as exc:
+            parse_netlist("line a R=50 T=0\n" + decl.format(name) + "\n"
+                          + MINIMAL_TAIL.replace("r1", "a"))
+        assert (exc.value.line, exc.value.token) == (2, name)
+        assert exc.value.message.startswith(f"reserved name {name!r}")
+
+    @pytest.mark.parametrize("signal", ["b", "force2", "gnd"])
+    def test_measure_muscope_takes_only_signal_force(self, signal):
+        with pytest.raises(NetlistParseError) as exc:
+            parse_netlist("preset muscope\nline b R=50 T=0\n"
+                          f"measure muscope as m signal={signal}\n")
+        assert (exc.value.line, exc.value.column) == (3, 22)
+        assert exc.value.message == "measure muscope takes only signal=force"
+
+    @pytest.mark.parametrize("decl, phrase", [
+        ("ind 1l L=1m ports=(a,gnd)", "an inductor name"),
+        ("opamp 1u left=a right=b Zf=cap:1p R_a=1k Theta_a=2",
+         "an op-amp name"),
+        ("measure a as 1x signal=a", "an estimator label"),
+    ])
+    def test_name_messages_read_an(self, decl, phrase):
+        with pytest.raises(NetlistParseError) as exc:
+            parse_netlist("line a R=50 T=0\nline b R=50 T=0\n" + decl + "\n")
+        assert exc.value.message == \
+            f"expected {phrase} (letters, digits, underscore)"
+
     def test_unknown_preset_key(self):
         with pytest.raises(NetlistParseError) as exc:
             parse_netlist("preset muscope bogus=1\n")
