@@ -24,8 +24,7 @@ from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
 from .estimator import EstimatorRow, NoiseBudget, added_noise_spectrum, \
     normalize_estimator
-from .network import ModeCoefficient, ScatteringMap, SpectrumTable, \
-    capacitor_impedance
+from .network import ModeCoefficient, SpectrumTable, capacitor_impedance
 
 __all__ = [
     "AccelerometerConfig",
@@ -140,11 +139,10 @@ class SensitivityReport:
 
 @dataclass
 class AccelerometerModel:
-    """Assembled accelerometer: op-amp detection map at the carrier plus the
-    velocity-referred detection noise coefficients and source spectra."""
+    """Assembled accelerometer: the velocity-referred detection noise
+    coefficients of the op-amp map at the carrier, and source spectra."""
 
     config: AccelerometerConfig
-    scattering: ScatteringMap
     detection_coefficients: Dict[str, ModeCoefficient]  # velocity-referred
 
     def mechanical_impedance(self, omega: float) -> complex:
@@ -186,7 +184,7 @@ class AccelerometerModel:
         for lab, coef in self.detection_coefficients.items():
             raw[lab] = ModeCoefficient(z_m * coef.amplitude / z_t,
                                        coef.conjugated)
-        return normalize_estimator(raw, 1.0 / z_t, units="kg m s^-2")
+        return normalize_estimator(raw, 1.0 / z_t)
 
     def budget(self, omega: Optional[float] = None) -> NoiseBudget:
         """Force-referred noise budget at omega (default: the measurement
@@ -261,7 +259,7 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     for lab, coef in row.items():
         nu[lab] = ModeCoefficient(coef.amplitude / (c_signal * kappa),
                                   coef.conjugated)
-    return AccelerometerModel(cfg, smap, nu)
+    return AccelerometerModel(cfg, nu)
 
 
 def sensitivity_report(config: AccelerometerConfig) -> SensitivityReport:

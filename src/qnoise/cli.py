@@ -37,6 +37,8 @@ def _parse_set(values: List[str]) -> Dict[str, float]:
         if not sep or key not in PRESET_KEYS:
             raise QNoiseError(f"bad --set {item!r}: expected key=value with "
                               f"key in {', '.join(PRESET_KEYS)}")
+        if key in out:
+            raise QNoiseError(f"duplicate --set key {key!r}")
         try:
             out[key] = parse_number(raw)
         except ValueError as exc:

@@ -31,7 +31,6 @@ class EstimatorRow:
     """Normalized readout: unit signal gain plus per-line noise coefficients."""
 
     coefficients: Dict[str, ModeCoefficient]
-    units: str = ""
 
 
 @dataclass
@@ -42,7 +41,6 @@ class NoiseBudget:
     the strict maxima; ties report every maximizer."""
 
     terms: Dict[str, float]
-    units: str = ""
 
     @property
     def total(self) -> float:
@@ -57,8 +55,7 @@ class NoiseBudget:
 
 
 def normalize_estimator(coefficients: Mapping[str, ModeCoefficient],
-                        signal_coefficient: complex,
-                        units: str = "") -> EstimatorRow:
+                        signal_coefficient: complex) -> EstimatorRow:
     """Divide a readout row by its signal coefficient.
 
     A vanishing signal coefficient means the signal path is blocked and the
@@ -70,11 +67,8 @@ def normalize_estimator(coefficients: Mapping[str, ModeCoefficient],
                           "(signal blocked)")
     if s.ndim == 0:
         s = complex(s)
-    return EstimatorRow(
-        {lab: ModeCoefficient(c.amplitude / s, c.conjugated)
-         for lab, c in coefficients.items()},
-        units=units,
-    )
+    return EstimatorRow({lab: ModeCoefficient(c.amplitude / s, c.conjugated)
+                         for lab, c in coefficients.items()})
 
 
 def added_noise_spectrum(row: EstimatorRow, table: SpectrumTable,
@@ -94,7 +88,7 @@ def added_noise_spectrum(row: EstimatorRow, table: SpectrumTable,
     terms = {}
     for label, coef in row.coefficients.items():
         terms[label] = _number(abs(coef.amplitude) ** 2 * table.sigma(label))
-    return NoiseBudget(terms, units=row.units)
+    return NoiseBudget(terms)
 
 
 def _number(value):
@@ -134,4 +128,4 @@ def integrate_budget(budget: NoiseBudget,
             integrated[lab] = float(values[0])
         else:
             integrated[lab] = float(np.trapezoid(values, freqs))
-    return NoiseBudget(integrated, units=budget.units)
+    return NoiseBudget(integrated)

@@ -144,6 +144,11 @@ def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
 
 def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
                   measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
+    if (measure.line, measure.signal) == (decl.left, decl.right):
+        raise QNoiseError(f"measure {measure.label}: signal line "
+                          f"{measure.signal!r} is the right line of op-amp "
+                          f"{decl.name!r}, which passes nothing to its left "
+                          f"line {measure.line!r}")
     line_decls = {d.name: d for d in doc.lines}
     left = line_decls[decl.left]
     right = line_decls[decl.right]
@@ -190,8 +195,7 @@ def _energy_budget(doc: NetlistDocument, measure: MeasureDecl,
     est = normalize_estimator(row, row[measure.signal].amplitude)
     budget = added_noise_spectrum(est, SpectrumTable(occupations))
     scale = HBAR * np.abs(omegas)
-    return NoiseBudget({lab: scale * v for lab, v in budget.terms.items()},
-                       units="J")
+    return NoiseBudget({lab: scale * v for lab, v in budget.terms.items()})
 
 
 #: number format of every CSV cell; the golden outputs are byte-exact

@@ -196,6 +196,17 @@ class TestMain:
                      "--set", "bogus=1"])
         assert code == 2
 
+    def test_duplicate_set_key_exit_two(self, tmp_path, capsys):
+        netlist = tmp_path / "net.qn"
+        netlist.write_text("preset muscope\n")
+        code = main(["run", str(netlist), "--out", str(tmp_path / "out"),
+                     "--set", "mass=1", "--set", "loop_gain=10",
+                     "--set", "mass=2"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "qnoise: duplicate --set key 'mass'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_set_without_preset_exit_two(self, tmp_path, capsys):
         netlist = tmp_path / "net.qn"
         netlist.write_text(VACUUM_NETLIST)
