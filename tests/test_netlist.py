@@ -5,7 +5,7 @@ import pytest
 
 from qnoise.netlist import (CapDecl, GainDecl, IndDecl, LineDecl, MeasureDecl,
                             NetlistParseError, PresetDecl, SweepDecl,
-                            format_netlist, parse_netlist)
+                            _GRAMMAR, format_netlist, parse_netlist)
 
 DATA = Path(__file__).parent / "data"
 VALID_FILES = sorted((DATA / "valid").glob("*.qn"))
@@ -211,3 +211,15 @@ class TestCorpus:
     def test_corpus_is_populated(self):
         assert len(VALID_FILES) == 20
         assert len(MALFORMED_FILES) == 20
+
+
+def test_readme_grammar_block_follows_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Netlist grammar\n.*?```\n(.*?)```", readme,
+                      re.S).group(1)
+    rows = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert [row[0] for row in rows] == list(_GRAMMAR)
+    for keyword, *words in rows:
+        keys = [w.split("=", 1)[0] for w in words if re.match(r"\w+=", w)]
+        assert keys == [field.key for field in _GRAMMAR[keyword][1]
+                        if isinstance(field.key, str)], keyword
