@@ -28,6 +28,7 @@ __all__ = [
     "inductor_impedance",
     "impedance_matrix",
     "scattering_from_impedance",
+    "stamp_solver",
     "propagate_spectra",
     "row_occupation",
 ]
@@ -189,10 +190,7 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     `z_matrix` is one (n, n) matrix or a (..., n, n) stack over frequency;
     `outputs` names the rows of S to solve for (line labels, default all).
     Every Z must be anti-Hermitian within TOL_REACTIVE and cond(z + 1) at
-    most COND_LIMIT, as ill-conditioning signals corrupted input (reactive
-    z keeps its eigenvalues at unit real part).  Frobenius norms bound
-    cond(z + 1) <= (1 + |z|) / (1 - |(z + z^H) / 2|); an SVD runs only
-    where that bound exceeds COND_LIMIT.
+    most COND_LIMIT.
     """
     z_matrix = np.asarray(z_matrix, dtype=complex)
     n = len(lines)
@@ -211,18 +209,60 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
     z = r_sqrt_inv[:, None] * z_matrix * r_sqrt_inv
     z_t = np.swapaxes(z, -1, -2)
-    eye = np.eye(n)
-    unclear = ~(1.0 + np.linalg.norm(z, axis=(-2, -1)) <= COND_LIMIT * (
-        1.0 - np.linalg.norm(z + z_t.conj(), axis=(-2, -1)) / 2.0))
-    cond = np.max(np.linalg.cond((z + eye)[unclear])) if unclear.any() else 0.0
+    rows = [labels.index(label) for label in outputs]
+    s = _solve_rows(z_t.real, z_t.imag, rows, np.linalg.norm(z, axis=(-2, -1)),
+                    np.linalg.norm(z + z_t.conj(), axis=(-2, -1)))
+    return ScatteringMap(s, np.zeros((len(rows), n), dtype=bool), outputs,
+                         labels)
+
+
+def stamp_solver(a: np.ndarray, b: np.ndarray, lines: Sequence[NoiseLine],
+                 outputs: Sequence[str]):
+    """Rows `outputs` of S over omegas shaped (F, 1, 1) for Z(w) = A/w + wB,
+    bit for bit those of `scattering_from_impedance(A / w + w B, ...)`.  The
+    stamps `a` and `b` (caps, inds at w = 1) must be exactly imaginary and
+    symmetric, so every Z(w) is exactly anti-Hermitian: checked once, not
+    per frequency.  Blocks solve from x = D (Im A / w + w Im B) D."""
+    for name, stamp in (("capacitor", a), ("inductor", b)):
+        if stamp.real.any() or (stamp != stamp.T).any():
+            raise ModelError(f"{name} stamp is not reactive: it must be "
+                             "imaginary and symmetric")
+    labels = [line.label for line in lines]
+    rows = [labels.index(label) for label in outputs]
+    d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
+    zero = np.zeros(a.shape)  # Re z^T
+    x_a, x_b = a.imag.copy(), b.imag.copy()
+
+    def solve(w: np.ndarray) -> np.ndarray:
+        # rounded as numpy's complex A / w + w B is, then scaled by D; z^T
+        # is solved, as D x D is not bitwise symmetric
+        x = x_a * (1.0 / w)
+        x += w * x_b
+        x *= d[:, None]
+        x *= d
+        x_t = np.swapaxes(x, -1, -2)
+        return _solve_rows(zero, x_t, rows, np.linalg.norm(x, axis=(-2, -1)),
+                           np.linalg.norm(x - x_t, axis=(-2, -1)))
+    return solve
+
+
+def _solve_rows(re_t, im_t, rows, norm, skew):
+    """Rows `rows` of S from (z + 1)^T S^T = (z - 1)^T, given z^T as real and
+    imaginary parts and the Frobenius norms of z and z + z^H.  Reactive z
+    keeps its eigenvalues at unit real part, so cond(z + 1) <= (1 + |z|) /
+    (1 - |(z + z^H) / 2|); an SVD runs only where that exceeds COND_LIMIT."""
+    eye = np.eye(im_t.shape[-1])
+    system = np.empty_like(im_t, dtype=complex)  # in the layout of z^T
+    system.real, system.imag = re_t + eye, im_t
+    unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
+    cond = np.max(np.linalg.cond(np.swapaxes(system[unclear], -1, -2))) \
+        if unclear.any() else 0.0
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ModelError(f"(z + 1) is near-singular (condition {cond:.3e}); "
                          "input impedance matrix is not consistently reactive")
-    # S (z + 1) = z - 1, so the rows of S solve (z + 1)^T S^T = (z - 1)^T
-    rows = [labels.index(label) for label in outputs]
-    s = np.linalg.solve(z_t + eye, (z_t - eye)[..., rows])
-    return ScatteringMap(np.swapaxes(s, -1, -2),
-                         np.zeros((len(rows), n), dtype=bool), outputs, labels)
+    rhs = np.empty(im_t.shape[:-1] + (len(rows),), dtype=complex)
+    rhs.real, rhs.imag = re_t[..., rows] - eye[:, rows], im_t[..., rows]
+    return np.swapaxes(np.linalg.solve(system, rhs), -1, -2)
 
 
 def row_occupation(coeffs: Dict[str, ModeCoefficient],

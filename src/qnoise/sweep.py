@@ -32,7 +32,7 @@ from .netlist import MeasureDecl, NetlistDocument, OpAmpDecl, PresetDecl, \
     SweepDecl
 from .network import (ModeCoefficient, NoiseLine, ScatteringMap,
                       SpectrumTable, capacitor_impedance, impedance_matrix,
-                      inductor_impedance, scattering_from_impedance)
+                      inductor_impedance, stamp_solver)
 from .spectra import symmetrized_occupation
 
 __all__ = ["run", "sweep_grid", "preset_config"]
@@ -112,20 +112,18 @@ def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
                               f"shares no cap or ind path with line "
                               f"{m.line!r}")
     measured = sorted({m.line for m in measures})
-    # Z(w) = A / w + w B, stamped once for the whole sweep
+    # Z(w) = A / w + w B, stamped and checked once for the whole sweep
     a = impedance_matrix(len(lines), [
         (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
         for cap in doc.caps])
     b = impedance_matrix(len(lines), [
         (inductor_impedance(ind.inductance, 1.0), *ports[ind.name])
         for ind in doc.inds])
+    solve = stamp_solver(a, b, lines, measured)
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
-    pieces = []
-    for start in range(0, len(omegas), block):
-        w = omegas[start:start + block, None, None]
-        pieces.append(scattering_from_impedance(
-            a / w + w * b, lines, outputs=measured).amplitude)
-    amplitude = np.concatenate(pieces)
+    amplitude = np.concatenate([
+        solve(omegas[start:start + block, None, None])
+        for start in range(0, len(omegas), block)])
     for m in measures:
         if m.signal in index:
             zero = amplitude[:, measured.index(m.line), index[m.signal]] == 0.0
@@ -193,6 +191,14 @@ def _energy_budget(doc: NetlistDocument, measure: MeasureDecl,
                           f"{measure.signal!r} is outside the subnetwork of "
                           f"line {measure.line!r}")
     est = normalize_estimator(row, row[measure.signal].amplitude)
+    for lab, c in est.coefficients.items():
+        big = ~np.isfinite(np.abs(c.amplitude) ** 2)
+        if big.any():
+            raise QNoiseError(
+                f"estimator {measure.label}: source {lab} has a non-finite "
+                "noise budget (numeric overflow) at "
+                f"{omegas[np.argmax(big)] / (2.0 * math.pi):.6g} Hz, where "
+                "its signal-normalised coefficient |c/s|^2 overflows")
     budget = added_noise_spectrum(est, SpectrumTable(occupations))
     scale = HBAR * np.abs(omegas)
     return NoiseBudget({lab: scale * v for lab, v in budget.terms.items()})
@@ -221,6 +227,9 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     if doc.preset is not None:
         config = preset_config(doc.preset, overrides)
         if not any(m.line == "muscope" for m in measures):
+            if any(m.label == "force" for m in measures):
+                raise QNoiseError("measure label 'force' is taken by the "
+                                  "estimator the muscope preset adds")
             measures.append(MeasureDecl("muscope", "force", "force"))
     measured = {m.line for m in measures}
     for g in doc.gains:

@@ -8,7 +8,7 @@ from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
                             capacitor_impedance, impedance_matrix,
                             inductor_impedance,
                             propagate_spectra, reactivity_residual,
-                            scattering_from_impedance)
+                            scattering_from_impedance, stamp_solver)
 
 
 def random_reactive(rng, dim):
@@ -246,3 +246,95 @@ class TestPropagation:
         smap = ScatteringMap(np.eye(1), np.zeros((1, 1), bool), ["a"], ["a"])
         with pytest.raises(ModelError):
             propagate_spectra(smap, SpectrumTable({"b": 0.5}))
+
+
+class TestStampSolver:
+    """The sweep's passive path checks the cap and ind stamps once and
+    solves from the real reactance; its rows must equal, bit for bit, those
+    of `scattering_from_impedance` on the complex Z(w) = A / w + w B."""
+
+    OMEGAS = 2 * math.pi * np.logspace(-3, 9, 37)[:, None, None]
+
+    @staticmethod
+    def random_stamps(rng):
+        """Caps and inds between random lines or to ground, on lines whose
+        resistances spread over six decades, so that D x D is not bitwise
+        symmetric."""
+        n = int(rng.integers(1, 12))
+        lines = [NoiseLine(10.0 ** rng.uniform(0.0, 6.0), 1.0, f"l{i}")
+                 for i in range(n)]
+
+        def stamps(impedance):
+            return [(impedance(10.0 ** rng.uniform(-13.0, -3.0), 1.0),
+                     int(rng.integers(n)), int(rng.integers(-1, n)))
+                    for _ in range(int(rng.integers(0, 2 * n + 1)))]
+        a = impedance_matrix(n, stamps(capacitor_impedance))
+        b = impedance_matrix(n, stamps(inductor_impedance))
+        outputs = [f"l{i}" for i in rng.permutation(n)[:rng.integers(1, n + 1)]]
+        return a, b, lines, outputs
+
+    @staticmethod
+    def outcome(solve):
+        try:
+            return solve()
+        except ModelError as exc:
+            return str(exc)
+
+    def test_rows_equal_the_complex_solve_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        asymmetric = rejected = 0
+        for _ in range(300):
+            a, b, lines, outputs = self.random_stamps(rng)
+            w = self.OMEGAS
+            want = self.outcome(lambda: scattering_from_impedance(
+                a / w + w * b, lines, outputs=outputs).amplitude)
+            got = self.outcome(lambda: stamp_solver(a, b, lines, outputs)(w))
+            if isinstance(want, str):
+                rejected += 1
+                assert got == want
+                continue
+            assert np.array_equal(got, want)
+            d = np.array([line.resistance for line in lines]) ** -0.5
+            x = d[:, None] * (a.imag * (1.0 / w) + w * b.imag) * d
+            asymmetric += (x != np.swapaxes(x, -1, -2)).any()
+        # both outcomes and the asymmetric case are exercised
+        assert 300 - rejected >= 200 and rejected >= 5 and asymmetric >= 100
+
+    def test_corrupted_stamps_rejected(self):
+        lines = [NoiseLine(50.0, 1.0, f"l{i}") for i in range(2)]
+        a = impedance_matrix(2, [(capacitor_impedance(1e-9, 1.0), 0, 1)])
+        b = impedance_matrix(2, [(inductor_impedance(1e-6, 1.0), 1, -1)])
+        lossy = a.copy()
+        lossy[0, 0] += 1e-30
+        with pytest.raises(ModelError, match="capacitor stamp is not reactive"):
+            stamp_solver(lossy, b, lines, ["l0"])
+        skew = b.copy()
+        skew[0, 1] += 1j * 1e-30
+        with pytest.raises(ModelError, match="inductor stamp is not reactive"):
+            stamp_solver(a, skew, lines, ["l0"])
+
+    def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
+        from qnoise import network
+        from qnoise.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-frequency check called")
+        real_norm = np.linalg.norm
+
+        def real_only(x, *args, **kwargs):
+            assert not np.iscomplexobj(x), "complex Frobenius norm"
+            return real_norm(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "norm", real_only)
+        monkeypatch.setattr(network, "reactivity_residual", refuse)
+        n = 40
+        text = "".join(f"line l{i} R=50 T={i + 1}\n" for i in range(n))
+        text += "".join(f"cap c{i} C=1n ports=(l{i},l{i + 1})\n"
+                        for i in range(n - 1))
+        text += "".join(f"ind i{i} L=1u ports=(l{i},gnd)\n" for i in range(n))
+        text += "sweep 1k 100M 200 log\n"
+        text += "".join(f"measure l{i} as m{i} signal=l{n - 1}\n"
+                        for i in range(0, 40, 8))
+        netlist = tmp_path / "ladder.qn"
+        netlist.write_text(text)
+        assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 0

@@ -60,3 +60,12 @@ def test_non_finite_set_value(tmp_path, capsys):
     code, err = run_cli(netlist, tmp_path, capsys, "--set", "mass=1e999")
     assert code == 2
     assert "number out of range" in err
+
+
+def test_overflow_names_frequency_and_cause(tmp_path, capsys):
+    code, err = run_cli(DATA / "rejected" / "ladder_64_overflow.qn",
+                        tmp_path, capsys)
+    assert code == 2
+    assert err.endswith("source l0 has a non-finite noise budget (numeric "
+                        "overflow) at 8.40665e+07 Hz, where its "
+                        "signal-normalised coefficient |c/s|^2 overflows")
