@@ -8,8 +8,8 @@ then imports `qnoise.sweep`, which loads numpy and the numeric engine and
 writes the outputs; a rejected netlist never loads them.  `run`,
 `sweep_grid` and `preset_config` are re-exported from `qnoise.sweep`.
 
-Exit codes: 0 success, 1 parse error, 2 numeric/model error (including a
-budget that would contain a non-finite cell; nothing is written then).
+Exit codes: 0 success, 1 parse error or non-UTF-8 file, 2 numeric/model
+error (including a non-finite budget cell; nothing is written then).
 """
 
 import argparse
@@ -66,6 +66,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"qnoise: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"qnoise: {args.file}: not UTF-8 at byte offset {exc.start} "
+              f"({exc.reason})", file=sys.stderr)
+        return 1
 
     try:
         doc = parse_netlist(text)

@@ -240,8 +240,15 @@ def stamp_solver(a: np.ndarray, b: np.ndarray, lines: Sequence[NoiseLine],
         x += w * x_b
         x *= d[:, None]
         x *= d
+        norm = np.linalg.norm(x, axis=(-2, -1))
+        if not np.isfinite(norm).all() and not np.isfinite(x).all():
+            f, i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
+            where = f"line {labels[i]!r}" if i == j else \
+                f"lines {labels[i]!r} and {labels[j]!r}"
+            raise ModelError(f"{where}: the summed cap and ind reactance over "
+                             f"R overflows at {w.flat[f] / (2 * np.pi):.6g} Hz")
         x_t = np.swapaxes(x, -1, -2)
-        return _solve_rows(zero, x_t, rows, np.linalg.norm(x, axis=(-2, -1)),
+        return _solve_rows(zero, x_t, rows, norm,
                            np.linalg.norm(x - x_t, axis=(-2, -1)))
     return solve
 

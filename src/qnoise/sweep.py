@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -112,6 +113,15 @@ def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
                               f"shares no cap or ind path with line "
                               f"{m.line!r}")
     measured = sorted({m.line for m in measures})
+    # an element whose own reactance 1/(w C) or w L overflows is named
+    react = np.multiply.outer(omegas, [e.capacitance for e in doc.caps]
+                              + [e.inductance for e in doc.inds])
+    react[:, :len(doc.caps)] **= -1.0
+    if not np.isfinite(react).all():
+        f, k = np.unravel_index(np.argmax(~np.isfinite(react)), react.shape)
+        raise QNoiseError(f"{'cap' if k < len(doc.caps) else 'ind'} "
+                          f"{(doc.caps + doc.inds)[k].name}: its reactance "
+                          f"overflows at {omegas[f] / (2.0 * math.pi):.6g} Hz")
     # Z(w) = A / w + w B, stamped and checked once for the whole sweep
     a = impedance_matrix(len(lines), [
         (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
@@ -289,11 +299,11 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                 if "dominant" in r else ",")
         lines.append(f"{r['estimator']},{r['source']},"
                      f"{_FMT % r['band_integrated']},{tail}")
-    _write_text(paths["budget"], ["\n".join(lines) + "\n"])
+    _write_text(paths["budget"], [("\n".join(lines) + "\n").encode()])
     if json_mirror:
         paths["json"] = os.path.join(out_dir, "budget.json")
-        _write_text(paths["json"],
-                    [json.dumps(records, indent=2, sort_keys=True) + "\n"])
+        _write_text(paths["json"], [(json.dumps(
+            records, indent=2, sort_keys=True) + "\n").encode()])
     return paths
 
 
@@ -311,100 +321,106 @@ def _budget_records(label: str, integrated: NoiseBudget) -> List[dict]:
 
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):
-    """CSV text of a header and columns, in pieces of BLOCK_ENTRIES // 8
+    """spectra.csv as bytes: the header, then pieces of BLOCK_ENTRIES // 8
     cells written by `_csv_rows`."""
     table = np.column_stack(columns)
     step = max(1, BLOCK_ENTRIES // 8 // table.shape[1])
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode()
     for chunk in np.split(table, range(step, len(table), step)):
         yield _csv_rows(chunk)
 
 
 def _csv_tables():
-    """Tables of `_csv_rows` by 100 + exponent, by 4-digit group and by
-    key = 9 * form + trailing zeros, where form is 4 + exponent in fixed
-    notation (0..12) and 13 in e-notation.  Plain Python and array copies
-    build them: numpy arithmetic here would raise every run's peak memory."""
-    forms = [e + 4 if -4 <= e <= 8 else 13 for e in range(-100, 100)]
-    pairs = np.frombuffer(b"".join(b"%c\0%c\0" % (48 + n // 10, 48 + n % 10)
-                                   for n in range(100)), np.uint8)
-    digits = np.empty((100, 100, 8), np.uint8)  # "d\0d\0d\0d\0" of 0000..9999
-    digits[..., :4] = pairs.reshape(100, 1, 4)
-    digits[..., 4:] = pairs.reshape(1, 100, 4)
-    zeros = [(n % 10 == 0) + (n == 0) for n in range(100)]  # trailing
-    trailing = np.empty((100, 100), np.intp)
-    trailing[:] = zeros  # of 0000..9999: those of the last pair, or 2 more
-    trailing[:, 0] = [2 + z for z in zeros]
-    # by key: 0xff at each kept digit; the "0.000" lead and the point
-    kept, text = bytearray(126 * 24), bytearray(126 * 24)
-    for key in range(126):
-        form, z = divmod(key, 9)
-        e, row = form - 4, 24 * key
-        p = e + 1 if 0 <= e <= 8 else int(form == 13)  # digits before "."
-        keep = 9 - min(z, 9 - p)
-        kept[row + 6:row + 6 + 2 * keep:2] = b"\xff" * keep
-        if 0 < p and z < 9 - p:
-            text[row + 2 * p + 5] = ord(".")
-        if e < 0:
-            text[row + 1:row + 2 - e] = b"0.000"[:1 - e]
-    exponent = b"".join((b"" if f < 13 else b"e%+03d" % e).ljust(7, b"\0")
-                        + b"," for e, f in zip(range(-100, 100), forms))
-    return (np.array([float(f"1e{8 - e}") for e in range(-100, 100)]),
-            9 * np.array(forms), np.frombuffer(exponent, "<u8"),
-            digits.view("<u8").ravel(), trailing.ravel(),
-            np.frombuffer(kept + text, "<u8").reshape(2, 126, 3)
-            .transpose(0, 2, 1).copy())
+    """Tables of `_csv_rows`, made in place from plain Python and copies
+    (numpy arithmetic or temporaries here raise a run's peak memory).  A
+    block lays out 000..999 from a first byte by a pattern: d a digit, s a
+    digit dropped with the trailing zeros, p a point kept with the next s.
+    The nine digits split as p?[ds] three times into A from byte 1, B ending
+    at byte 7 and C from byte 8, or at bytes 6, 9 and 12 after a lead; A and
+    B have a whole block (s as d, p as "."), then a cut one."""
+    whole = b"%03d" * 1000 % tuple(range(1000))
+    cut = bytearray(whole)
+    cut[2::30], cut[1::300], cut[0] = bytes(100), bytes(10), 0  # trailing 0s
+    dots = cut.translate(bytes.maketrans(b"0123456789", b"." * 10))
+    source = dict(zip("dsp.", np.frombuffer(whole + cut + dots + b"." * 3000,
+                                            np.uint8).reshape(4, 1000, 3)))
+    blocks, starts = [], {}  # (first byte, pattern) of each 1000 rows
+
+    def start(first, pattern, cut_only=False):
+        if (first, pattern) not in starts:
+            starts[first, pattern] = 1000 * len(blocks)
+            full = pattern.replace("s", "d").replace("p", ".")
+            blocks.extend([(first, pattern)] if cut_only else
+                          [(first, full), (first, pattern)])
+        return starts[first, pattern]
+
+    layouts = {0: [start(6, "sss"), start(9, "sss"), start(12, "sss", True)]}
+    for p in range(1, 10):  # digits before the point; 0 for a lead
+        a, b, c = re.findall("p?[ds]" * 3, "d" * p + "p" + "s" * (9 - p))
+        layouts[p] = [start(1, a), start(8 - len(b), b), start(8, c, True)]
+    groups = np.zeros((len(blocks), 1000, 16), np.uint8)
+    for group, (first, text) in zip(groups, blocks):
+        k = 0  # digit of the group; a point goes with the next one
+        for byte, c in enumerate(text, first):
+            group[:, byte] = source[c][:, k]
+            k += c in "ds"
+    scale, rows, text = [], [], b""
+    for i in list(range(200)) + list(range(-200, 0)):  # signed 100 + e
+        e = abs(i) - 100
+        lead = -4 <= e < 0
+        rows.append(layouts[0 if lead else e + 1 if 0 <= e <= 8 else 1])
+        scale.append(float(f"1e{8 - e}"))
+        tail = b"e%+03d" % e if not -4 <= e <= 8 and abs(e) < 100 else b""
+        text += (b"-" if i < 0 else b"\0") + b"0.000"[:(1 - e) * lead] \
+            .ljust(10, b"\0") + tail.rjust(4, b"\0") + b","
+    return (np.array(scale), np.array(rows).T.copy(),
+            groups.reshape(-1, 16).view("<u8"),
+            np.frombuffer(text, "<u8").reshape(-1, 2),
+            np.array([1000] + [0] * 1998))  # + 1000: every later digit is 0
 
 
-_SCALE, _FORM9, _EXPONENT, _DIGITS, _TRAILING, (_KEPT, _TEXT) = _csv_tables()
-#: a cell left to `_FMT`: the format itself, which `%` fills in at the end
-#: (no other cell text holds a "%")
-_LEFT_TO_FMT = np.frombuffer(_FMT.encode().ljust(31, b"\0") + b",", "<u8")
+_SCALE, _ROWS, _GROUPS, _TEXT, _CUT = _csv_tables()
+#: a cell left to `_FMT`, which `%` fills in (no other cell holds a "%")
+_LEFT_TO_FMT = np.frombuffer(_FMT.encode().ljust(15, b"\0") + b",", "<u8")
 
 
-def _csv_rows(chunk: np.ndarray) -> str:
+def _csv_rows(chunk: np.ndarray) -> bytes:
     """CSV rows of a 2-D float chunk, byte-identical to `_FMT % cell`.
 
-    A cell is four 8-byte words, [sign "0.000" d1 .] [d2 . d3 . d4 . d5 .]
-    [d6 . d7 . d8 . d9 -] [e+NN - - - ,], whose zero bytes are dropped.
+    A cell is a 16-byte record, two <u8 words whose zero bytes are dropped:
+    [sign] ["0.000" lead] nine digits with the point [e+NN] and, at byte 15,
+    the separator; e = 100 + floor(log10|x|), signed as x, takes them all.
     s = |x| 10^(8-e) has two roundings, so it is within 3e-7 of the exact
-    value: rint(s) are the nine digits of dtoa unless s is within 1e-5 of
-    a tie.  (e = floor(log10|x|) may be one off next to a power of ten;
-    s then rounds to 1e8, or to 1e9, which the carry mends.)  A cell near
-    a tie, outside 1e-99 < |x| < 1e99 or not finite is written by
-    `_FMT % cell`.  Each ufunc call keeps to one dtype: mixing bool and
-    integer arrays raised the peak memory of a run."""
+    value: rint(s) are the nine digits of dtoa unless s is within 1e-5 of a
+    tie.  (e may be one off next to a power of ten; s then rounds to 1e8, or
+    to 1e9, which is capped to count as a tie.)  Cells near a tie, outside
+    1e-99 <= |x| <= 1e99 or not finite go to `_FMT % cell`.  Each ufunc call
+    keeps to one dtype: mixing bool and integer arrays raised peak memory."""
     x = chunk.ravel()
     a = np.abs(x)
-    ok = (a > 1e-99) & (a < 1e99)
-    a[~ok] = 1.0
-    e = (np.log10(a) + 100).astype(np.intp)  # 100 + exponent
-    s = a * _SCALE[e]
-    r = np.rint(s)
+    b = np.fmin(np.fmax(a, 1e-99), 1e99)
+    ok = b == a
+    e = np.copysign(np.log10(b) + 100.0, x).astype(np.intp)
+    s = b * _SCALE.take(e)
+    r = np.minimum(np.rint(s), 999999999.0)
     ok &= np.abs(s - r) < 0.49999
-    carry = r >= 1e9
-    e[carry] += 1
-    r[carry] = 1e8
     nine = r.astype(np.intp)
-    q = nine // 10000
-    lo, hi = nine - q * 10000, q // 10000
-    mid = q - hi * 10000
-    key = _FORM9[e] + np.where(lo, _TRAILING[lo], _TRAILING[mid] + 4)
-    cells = np.empty((len(x), 4), "<u8")
-    for word, group in enumerate((hi, mid, lo)):
-        cells[:, word] = _DIGITS[group] & _KEPT[word][key] | _TEXT[word][key]
-    np.bitwise_or(cells[:, 0], ord("-"), out=cells[:, 0], where=x < 0)
-    cells[:, 3] = _EXPONENT[e]
-    cells[~ok] = _LEFT_TO_FMT
-    cells.reshape(len(chunk), -1, 4)[:, -1, 3] ^= 0x26 << 56  # "," to "\n"
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    return text % tuple(x[~ok].tolist()) if not ok.all() else text
+    a, q = nine // 1000000, nine // 1000
+    b, c = q - a * 1000, nine - q * 1000
+    cells = _TEXT.take(e, axis=0)
+    for rows, group in zip(_ROWS, (a + _CUT.take(b + c), b + _CUT.take(c), c)):
+        cells |= _GROUPS.take(rows.take(e) + group, axis=0)
+    if not (every := ok.all()):
+        cells[~ok] = _LEFT_TO_FMT
+    cells.reshape(len(chunk), -1, 2)[:, -1, 1] ^= 0x26 << 56  # "," to "\n"
+    data = cells.tobytes().translate(None, b"\0")
+    return data if every else data % tuple(x[~ok].tolist())
 
 
-def _write_text(path: str, pieces: Iterable[str]):
+def _write_text(path: str, pieces: Iterable[bytes]):
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "wb") as handle:
             handle.writelines(pieces)
     except OSError as exc:
         raise QNoiseError(f"cannot write {path}: {exc}") from exc

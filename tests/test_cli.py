@@ -184,6 +184,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "1:9" in err
 
+    def test_invalid_utf8_exit_one(self, tmp_path, capsys):
+        netlist = tmp_path / "bad.qn"
+        netlist.write_bytes(b"# \xc3\xa9\nline a R=50 T=1\xff\n")
+        code = main(["run", str(netlist), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qnoise: {netlist}: not UTF-8 at byte offset 20 "
+                       "(invalid start byte)"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.qn"),
                      "--out", str(tmp_path)])

@@ -23,11 +23,11 @@ def kernel_rows(table):
 
 def assert_same(values, cols=1):
     table = np.asarray(values, dtype=float).reshape(-1, cols)
-    expected = template_rows(table)
+    expected = template_rows(table).encode()
     got = kernel_rows(table)
     if got != expected:  # name the first cell that differs
-        cells = zip(table.ravel(), expected.replace("\n", ",").split(","),
-                    got.replace("\n", ",").split(","))
+        cells = zip(table.ravel(), expected.replace(b"\n", b",").split(b","),
+                    got.replace(b"\n", b",").split(b","))
         assert next(((c, w, h) for c, w, h in cells if w != h), None) is None
     assert got == expected
 
@@ -52,6 +52,20 @@ def test_ninth_digit_ties():
     ties = np.concatenate([10 ** 8 + k + 0.5, (10 ** 8 + k) * 10 + 5])
     scaled = ties * 10.0 ** rng.integers(-40, 40, len(ties))
     assert_same(np.concatenate([ties, -ties, scaled, -scaled]))
+
+
+def test_every_form_and_trailing_zero_count():
+    # mantissas of 1..9 significant digits at every exponent of the kernel:
+    # e-notation, a point after p = 1..9 digits and the 0. to 0.000 leads,
+    # each with every count of trailing zeros, for both signs
+    rng = np.random.default_rng(9)
+    values = []
+    for digits in range(1, 10):
+        mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, 20)
+        mantissas[mantissas % 10 == 0] += 1  # exactly `digits` digits
+        values += [float(f"{m}e{exponent - digits + 1}")
+                   for exponent in range(-99, 99) for m in mantissas]
+    assert_same(values + [-v for v in values], cols=9)
 
 
 def test_edges_zero_and_non_finite():
@@ -80,4 +94,5 @@ def test_pieces_straddle_chunk_edges(cols):
         warnings.simplefilter("error")
         pieces = list(_csv_pieces(header, list(table.T)))
     assert len(pieces) > 2
-    assert "".join(pieces) == ",".join(header) + "\n" + template_rows(table)
+    assert b"".join(pieces) == (",".join(header) + "\n"
+                                + template_rows(table)).encode()
