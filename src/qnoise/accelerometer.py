@@ -71,17 +71,10 @@ class AccelerometerConfig:
     feedback_capacitance: Optional[float] = None
 
     def __post_init__(self):
-        positive = {
-            "mass": self.mass,
-            "mech_damping": self.mech_damping,
-            "measure_omega": self.measure_omega,
-            "carrier_omega": self.carrier_omega,
-            "amp_impedance": self.amp_impedance,
-            "amp_temperature": self.amp_temperature,
-            "bath_temperature": self.bath_temperature,
-            "transducer_coupling": self.transducer_coupling,
-        }
-        for name, value in positive.items():
+        for name in ("mass", "mech_damping", "measure_omega", "carrier_omega",
+                     "amp_impedance", "amp_temperature", "bath_temperature",
+                     "transducer_coupling"):
+            value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError(f"{name} must be positive, got {value}")
         if self.loop_gain < 0.0:

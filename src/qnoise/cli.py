@@ -61,8 +61,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # skip a byte-order mark here: "utf-8-sig" would shift error offsets
         with open(args.file, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")
     except OSError as exc:
         print(f"qnoise: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2

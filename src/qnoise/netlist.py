@@ -2,8 +2,9 @@
 
 One declaration per line, `#` starts a comment, keywords are
 case-sensitive.  `_GRAMMAR` at the end of this module is the grammar: each
-keyword maps to its record and the ordered fields of its line, which
-`parse_netlist` reads and `format_netlist` writes back.  Numbers accept
+keyword maps to its record, a named tuple of the values of its line's
+fields, and those fields in order, which `parse_netlist` reads and
+`format_netlist` writes back.  Numbers accept
 scientific notation and SI suffixes k M G m u n p f, and must be finite.
 Parsing is single pass, first error wins; errors carry 1-based line and
 column positions into the source text.
@@ -11,8 +12,7 @@ column positions into the source text.
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import QNoiseError
 
@@ -57,29 +57,25 @@ class NetlistParseError(QNoiseError):
         super().__init__(f"{line}:{column}: {message} (at {token!r})")
 
 
-@dataclass(frozen=True)
-class LineDecl:
+class LineDecl(NamedTuple):
     name: str
     resistance: float
     temperature: float
 
 
-@dataclass(frozen=True)
-class CapDecl:
+class CapDecl(NamedTuple):
     name: str
     capacitance: float
     ports: Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class IndDecl:
+class IndDecl(NamedTuple):
     name: str
     inductance: float
     ports: Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class OpAmpDecl:
+class OpAmpDecl(NamedTuple):
     name: str
     left: str
     right: str
@@ -88,37 +84,32 @@ class OpAmpDecl:
     amp_temperature: float
 
 
-@dataclass(frozen=True)
-class GainDecl:
+class GainDecl(NamedTuple):
     name: str
     input_line: str
     gain: complex
     noise_temperature: float
 
 
-@dataclass(frozen=True)
-class SweepDecl:
+class SweepDecl(NamedTuple):
     f_min_hz: float
     f_max_hz: float
     n_points: int
     scale: str  # "lin" | "log"
 
 
-@dataclass(frozen=True)
-class MeasureDecl:
+class MeasureDecl(NamedTuple):
     line: str
     label: str
     signal: str
 
 
-@dataclass(frozen=True)
-class PresetDecl:
+class PresetDecl(NamedTuple):
     name: str
     overrides: Tuple[Tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class NetlistDocument:
+class NetlistDocument(NamedTuple):
     declarations: Tuple[object, ...]
 
     def _of(self, kind):
@@ -146,8 +137,7 @@ class NetlistDocument:
 
     @property
     def sweep(self) -> Optional[SweepDecl]:
-        sweeps = self._of(SweepDecl)
-        return sweeps[0] if sweeps else None
+        return next(iter(self._of(SweepDecl)), None)
 
     @property
     def measures(self) -> List[MeasureDecl]:
@@ -155,12 +145,10 @@ class NetlistDocument:
 
     @property
     def preset(self) -> Optional[PresetDecl]:
-        presets = self._of(PresetDecl)
-        return presets[0] if presets else None
+        return next(iter(self._of(PresetDecl)), None)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
@@ -297,8 +285,7 @@ class _Parser:
 _REST = object()
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     """One field of a declaration line.  `key` is the `key=` prefix of its
     token, None for a bare token, or _REST.  `phrase` is what an "expected
     ..." message names.  `parse(parser, token, text, values)` checks the
@@ -505,6 +492,17 @@ _GRAMMAR = {
 _KEYWORD = {record: keyword for keyword, (record, _) in _GRAMMAR.items()}
 
 
+def _same_kind(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+# a record equals only a record of its own kind (as tuples, a CapDecl would
+# equal the IndDecl with the same values); object.__ne__ inverts __eq__, and
+# the hash stays the tuple's
+for _record in (*_KEYWORD, NetlistDocument):
+    _record.__eq__, _record.__ne__ = _same_kind, object.__ne__
+
+
 def parse_netlist(text: str) -> NetlistDocument:
     """Parse a netlist; raises NetlistParseError at the first error."""
     rows = _tokenize(text)
@@ -521,7 +519,7 @@ def format_netlist(doc: NetlistDocument) -> str:
         if type(decl) not in _KEYWORD:
             raise TypeError(f"unknown declaration {decl!r}")
         keyword = _KEYWORD[type(decl)]
-        values = iter(vars(decl).values())
+        values = iter(decl)
         parts = [keyword]
         for field in _GRAMMAR[keyword][1]:
             text = field.show(next(values)) if field.show else field.phrase

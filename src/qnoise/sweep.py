@@ -11,20 +11,18 @@ sweep; with an array, scattering amplitudes, estimator coefficients and
 budget terms carry a leading frequency axis.  `run` calls each layer once
 per sweep and solves the passive network once for all its measures.
 A budget that would contain a non-finite cell raises QNoiseError and
-nothing is written.
+nothing is written.  The preset and op-amp models and json load only where
+a run uses them.
 """
 
 import dataclasses
-import json
 import math
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .accelerometer import MUSCOPE, AccelerometerConfig, build_accelerometer
-from .amplifier import IdealOpAmp, opamp_scattering
 from .constants import HBAR, K_B
 from .errors import QNoiseError
 from .estimator import NoiseBudget, added_noise_spectrum, integrate_budget, \
@@ -35,6 +33,9 @@ from .network import (ModeCoefficient, NoiseLine, ScatteringMap,
                       SpectrumTable, capacitor_impedance, impedance_matrix,
                       inductor_impedance, stamp_solver)
 from .spectra import symmetrized_occupation
+
+if TYPE_CHECKING:
+    from .accelerometer import AccelerometerConfig
 
 __all__ = ["run", "sweep_grid", "preset_config"]
 
@@ -62,8 +63,9 @@ def sweep_grid(sweep: SweepDecl) -> np.ndarray:
 
 def preset_config(preset: PresetDecl,
                   extra: Optional[Dict[str, float]] = None,
-                  ) -> AccelerometerConfig:
+                  ) -> "AccelerometerConfig":
     """Muscope reference parameters with declaration and CLI overrides."""
+    from .accelerometer import MUSCOPE
     params = dict(preset.overrides)
     if extra:
         params.update(extra)
@@ -157,6 +159,7 @@ def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
                           f"{measure.signal!r} is the right line of op-amp "
                           f"{decl.name!r}, which passes nothing to its left "
                           f"line {measure.line!r}")
+    from .amplifier import IdealOpAmp, opamp_scattering
     line_decls = {d.name: d for d in doc.lines}
     left = line_decls[decl.left]
     right = line_decls[decl.right]
@@ -260,6 +263,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             smap, occupations = _passive_map(doc, passive, omegas)
         for measure in measures:
             if measure.line == "muscope":
+                from .accelerometer import build_accelerometer
                 model = build_accelerometer(config)
                 budget = model.budget(omegas)
             elif measure.line in opamp_by_line:
@@ -301,6 +305,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                      f"{_FMT % r['band_integrated']},{tail}")
     _write_text(paths["budget"], [("\n".join(lines) + "\n").encode()])
     if json_mirror:
+        import json
         paths["json"] = os.path.join(out_dir, "budget.json")
         _write_text(paths["json"], [(json.dumps(
             records, indent=2, sort_keys=True) + "\n").encode()])

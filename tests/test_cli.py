@@ -94,17 +94,17 @@ class TestRun:
         assert asd == pytest.approx(1.2e-12, rel=0.05)
 
     def test_muscope_builds_its_model_once(self, tmp_path, monkeypatch):
-        # the report rows come from the model that was swept, not a rebuild
+        # the report rows come from the model that was swept, not a rebuild;
+        # qnoise.sweep imports build_accelerometer from its module per run
         import qnoise.accelerometer
-        import qnoise.sweep
         build = qnoise.accelerometer.build_accelerometer
         calls = []
 
         def counted(config):
             calls.append(config)
             return build(config)
-        for module in (qnoise.sweep, qnoise.accelerometer):
-            monkeypatch.setattr(module, "build_accelerometer", counted)
+        monkeypatch.setattr(qnoise.accelerometer, "build_accelerometer",
+                            counted)
         run(parse_netlist((DOCS / "muscope.qn").read_text()), str(tmp_path))
         assert len(calls) == 1
 
@@ -193,6 +193,27 @@ class TestMain:
         assert err == [f"qnoise: {netlist}: not UTF-8 at byte offset 20 "
                        "(invalid start byte)"]
         assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        netlist = tmp_path / "bom.qn"
+        netlist.write_bytes(b"\xef\xbb\xbf" +
+                            (DOCS / "thermal_leak.qn").read_bytes())
+        for source, out in ((DOCS / "thermal_leak.qn", "plain"),
+                            (netlist, "bom")):
+            assert main(["run", str(source), "--out",
+                         str(tmp_path / out)]) == 0
+        for name in ("spectra.csv", "budget.csv"):
+            assert (tmp_path / "bom" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+
+    def test_bad_byte_after_a_byte_order_mark(self, tmp_path, capsys):
+        # the offset counts the mark's three bytes, as a hex dump shows it
+        netlist = tmp_path / "bad.qn"
+        netlist.write_bytes(b"\xef\xbb\xbfline a R=50 T=1\xff\n")
+        assert main(["run", str(netlist), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"qnoise: {netlist}: not UTF-8 at byte offset 18 "
+            "(invalid start byte)\n")
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "absent.qn"),
@@ -288,6 +309,16 @@ def fresh_python(code):
     return done.stdout
 
 
+def loaded_after_run(args, modules):
+    """Which of `modules` a fresh interpreter holds after `main(args)`."""
+    return fresh_python(
+        "import sys\n"
+        "from qnoise.cli import main\n"
+        f"code = main({args!r})\n"
+        f"print(code, [m for m in {modules!r} if m in sys.modules])\n"
+        ).splitlines()[-1]
+
+
 class TestFrontLoadsNoNumpy:
     def test_import_and_parse(self):
         examples = [str(p) for p in sorted(DOCS.glob("*.qn"))]
@@ -296,19 +327,34 @@ class TestFrontLoadsNoNumpy:
             "from qnoise.cli import parse_netlist\n"
             f"for path in {examples!r}:\n"
             "    parse_netlist(open(path).read())\n"
-            "print('numpy' in sys.modules)\n")
-        assert out == "False\n"
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n")
+        assert out == "False False\n"
 
     def test_malformed_run_exits_one(self, tmp_path):
         malformed = sorted(MALFORMED.glob("*.qn"))[0]
-        out = fresh_python(
-            "import sys\n"
-            "from qnoise.cli import main\n"
-            f"code = main(['run', {str(malformed)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}])\n"
-            "print(code, 'numpy' in sys.modules)\n")
-        assert out == "1 False\n"
+        out = loaded_after_run(
+            ["run", str(malformed), "--out", str(tmp_path / "out")],
+            ["numpy", "dataclasses"])
+        assert out == "1 []"
         assert not (tmp_path / "out").exists()
+
+    def test_passive_run_loads_no_preset_opamp_or_json(self, tmp_path):
+        out = loaded_after_run(
+            ["run", str(DOCS / "thermal_leak.qn"), "--out", str(tmp_path)],
+            ["numpy", "qnoise.accelerometer", "qnoise.amplifier", "json"])
+        assert out == "0 ['numpy']"
+
+    @pytest.mark.parametrize("netlist, flags, module", [
+        ("opamp_readout.qn", [], "qnoise.amplifier"),
+        ("muscope.qn", [], "qnoise.accelerometer"),
+        ("thermal_leak.qn", ["--json"], "json"),
+    ])
+    def test_run_loads_what_its_netlist_uses(self, netlist, flags, module,
+                                             tmp_path):
+        out = loaded_after_run(
+            ["run", str(DOCS / netlist), "--out", str(tmp_path)] + flags,
+            [module])
+        assert out == f"0 [{module!r}]"
 
     def test_driver_names_come_from_sweep(self):
         out = fresh_python(

@@ -192,6 +192,33 @@ class TestCanonicalFormat:
         assert "R=150000.0" in format_netlist(doc)
 
 
+class TestRecords:
+    def test_kinds_with_equal_fields_differ(self):
+        cap = CapDecl("c", 1e-9, ("a", "b"))
+        ind = IndDecl("c", 1e-9, ("a", "b"))
+        assert cap != ind and not cap == ind
+        assert cap == CapDecl("c", 1e-9, ("a", "b"))
+        assert cap != ("c", 1e-9, ("a", "b"))
+
+    def test_documents_differ_in_one_declaration_kind(self):
+        text = ("line a R=50 T=0\nline b R=50 T=0\ncap x C=1n ports=(a,b)\n"
+                "sweep 1 10 3 lin\nmeasure a as v signal=b\n")
+        doc = parse_netlist(text)
+        other = parse_netlist(text.replace("cap x C=", "ind x L="))
+        assert doc != other and not doc == other
+        assert doc == parse_netlist(text)
+
+    def test_records_are_immutable_and_hashable(self):
+        doc = parse_netlist("line a R=50 T=0\n" +
+                            MINIMAL_TAIL.replace("r1", "a"))
+        with pytest.raises(AttributeError):
+            doc.lines[0].resistance = 60.0
+        with pytest.raises(AttributeError):
+            doc.declarations = ()
+        assert hash(doc) == hash(parse_netlist(format_netlist(doc)))
+        assert len({decl: None for decl in doc.declarations}) == 3
+
+
 class TestCorpus:
     @pytest.mark.parametrize("path", VALID_FILES, ids=lambda p: p.stem)
     def test_valid_files_parse_and_round_trip(self, path):
