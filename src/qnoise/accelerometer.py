@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .amplifier import IdealOpAmp, opamp_scattering
+import numpy as np
+
+from .amplifier import capacitive_opamp
 from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
-from .estimator import EstimatorRow, NoiseBudget, added_noise_spectrum, \
-    normalize_estimator
-from .network import ModeCoefficient, SpectrumTable, capacitor_impedance
+from .estimator import CompiledEstimator, NoiseBudget, evaluate
 
 __all__ = [
     "AccelerometerConfig",
@@ -55,7 +55,8 @@ class AccelerometerConfig:
     measurement frequency Omega, `carrier_omega` the detection carrier.
     `loop_gain` scales the servo damping in units of the mechanical damping
     (0 disables the loop).  `feedback_capacitance` defaults to the value
-    giving |Z_f| = sqrt(R_a R_r) at the carrier.
+    giving |Z_f| = sqrt(R_a R_r) at the carrier, which must be a positive
+    double.
     """
 
     mass: float
@@ -73,15 +74,21 @@ class AccelerometerConfig:
     def __post_init__(self):
         for name in ("mass", "mech_damping", "measure_omega", "carrier_omega",
                      "amp_impedance", "amp_temperature", "bath_temperature",
-                     "transducer_coupling"):
+                     "readout_impedance", "transducer_coupling",
+                     "feedback_capacitance"):
             value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
+            if value is not None and not (value > 0.0
+                                          and math.isfinite(value)):
                 raise DomainError(f"{name} must be positive, got {value}")
         if self.loop_gain < 0.0:
             raise DomainError("loop_gain must be >= 0")
         if self.measure_omega >= self.carrier_omega:
             raise DomainError("measurement frequency must sit far below "
                               "the detection carrier")
+        if not 0.0 < self.c_feedback < math.inf:
+            raise DomainError(f"feedback_capacitance: the default from "
+                              "amp_impedance and readout_impedance is "
+                              f"{self.c_feedback:.3g}, out of range")
 
     @property
     def r_readout(self) -> float:
@@ -91,11 +98,10 @@ class AccelerometerConfig:
     @property
     def c_feedback(self) -> float:
         if self.feedback_capacitance is not None:
-            if self.feedback_capacitance <= 0.0:
-                raise DomainError("feedback capacitance must be positive")
             return self.feedback_capacitance
-        return 1.0 / (self.carrier_omega
-                      * math.sqrt(self.amp_impedance * self.r_readout))
+        z_f = self.carrier_omega * math.sqrt(self.amp_impedance
+                                             * self.r_readout)
+        return 1.0 / z_f if z_f > 0.0 else math.inf
 
 
 MUSCOPE = AccelerometerConfig(
@@ -136,60 +142,44 @@ class AccelerometerModel:
     coefficients of the op-amp map at the carrier, and source spectra."""
 
     config: AccelerometerConfig
-    detection_coefficients: Dict[str, ModeCoefficient]  # velocity-referred
-
-    def mechanical_impedance(self, omega: float) -> complex:
-        return self.config.mech_damping - 1j * omega * self.config.mass
+    detection_coefficients: Dict[str, complex]  # velocity-referred
+    occupations: Dict[str, float]  # of the detection lines; the force PSD
 
     @property
     def loop_damping(self) -> float:
         return self.config.loop_gain * self.config.mech_damping
 
-    def spectrum_table(self) -> SpectrumTable:
-        """Source spectra: detection lines carry occupations demodulated
-        from the carrier; the mechanical source carries its force PSD
-        directly (its estimator coefficient is dimensionless unity)."""
-        cfg = self.config
-        sigma_amp = K_B * cfg.amp_temperature / (HBAR * cfg.carrier_omega)
-        return SpectrumTable({
-            MECH: mechanical_langevin_psd(cfg.mech_damping,
-                                          cfg.bath_temperature),
-            LINE_IN: 0.5,
-            LINE_OUT: 0.5,
-            AMP_A: sigma_amp,
-            AMP_AC: sigma_amp,
-        })
-
-    def estimator_row(self, omega: Optional[float] = None) -> EstimatorRow:
-        """Force estimator at measurement frequency omega (a number, or an
-        array over a sweep), normalized to unit gain on the external force.
+    def estimator(self, omegas: np.ndarray,
+                  label: str = "force") -> CompiledEstimator:
+        """Force estimator over the measurement frequencies `omegas`.
 
         The closed-loop readout is proportional to
-        (F_ext + F_n + Z_m n_v) / (Z_m + H_loop); normalizing by the
-        F_ext coefficient removes the loop gain exactly, which is the
-        cold-damping invariance.
+        (F_ext + F_n + Z_m n_v) / (Z_m + H_loop), Z_m = H_m - i omega M;
+        normalizing by the F_ext coefficient removes the loop gain exactly,
+        which is the cold-damping invariance.  F_ext enters as the
+        mechanical Langevin force F_n does, so F_n's row is the signal.
         """
-        if omega is None:
-            omega = self.config.measure_omega
-        z_m = self.mechanical_impedance(omega)
+        z_m = self.config.mech_damping - 1j * omegas * self.config.mass
         z_t = z_m + self.loop_damping
-        raw = {MECH: ModeCoefficient(1.0 / z_t, False)}
-        for lab, coef in self.detection_coefficients.items():
-            raw[lab] = ModeCoefficient(z_m * coef.amplitude / z_t,
-                                       coef.conjugated)
-        return normalize_estimator(raw, 1.0 / z_t)
+        sources = [MECH, *self.detection_coefficients]
+        return CompiledEstimator(
+            label, sources, np.array([1.0 / z_t] + [
+                z_m * c / z_t for c in self.detection_coefficients.values()]),
+            0, np.array([[self.occupations[lab]] for lab in sources]), 1.0)
 
-    def budget(self, omega: Optional[float] = None) -> NoiseBudget:
+    def budget(self, omega=None, label: str = "force") -> NoiseBudget:
         """Force-referred noise budget at omega (default: the measurement
-        frequency); an array of omega gives terms over the sweep."""
-        return added_noise_spectrum(self.estimator_row(omega),
-                                    self.spectrum_table())
+        frequency), a number or an array over a sweep whose band is
+        integrated over omega / 2 pi."""
+        omegas = np.atleast_1d(self.config.measure_omega if omega is None
+                               else omega)
+        return evaluate(self.estimator(omegas, label),
+                        omegas / (2.0 * math.pi))
 
     def detection_velocity_psd(self) -> float:
         """Velocity-equivalent PSD of the detection noise (m/s)^2 per the
         two-sided convention; this is what the servo feeds back."""
-        table = self.spectrum_table()
-        return float(sum(abs(c.amplitude) ** 2 * table.sigma(lab)
+        return float(sum(abs(c) ** 2 * self.occupations[lab]
                          for lab, c in self.detection_coefficients.items()))
 
     def loop_force_noise_psd(self) -> float:
@@ -204,19 +194,18 @@ class AccelerometerModel:
             return 0.0
         return self.loop_force_noise_psd() / (2.0 * self.loop_damping * K_B)
 
-    def report(self) -> SensitivityReport:
+    def report(self, label: str = "force") -> SensitivityReport:
         """Noise budget and acceleration sensitivity sqrt(Sigma_FF)/M at the
-        measurement frequency."""
-        budget = self.budget(self.config.measure_omega)
-        sigma_ff = budget.total
-        dominant = budget.dominant[0] if len(budget.dominant) == 1 \
-            else "/".join(budget.dominant)
+        measurement frequency: the kernel on that one-point grid."""
+        budget = self.budget(label=label)
+        sigma_ff = budget.band_total
         return SensitivityReport(
             sigma_ff=sigma_ff,
             acceleration_asd=math.sqrt(sigma_ff) / self.config.mass,
             budget=budget,
-            dominant=dominant,
-            mechanical_fraction=budget.terms[MECH] / sigma_ff,
+            dominant="/".join(budget.dominant),
+            mechanical_fraction=(budget.band[MECH] / sigma_ff
+                                 if sigma_ff > 0.0 else 0.0),
         )
 
 
@@ -230,29 +219,22 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     ideal.
     """
     cfg = config
-    sigma_amp = K_B * cfg.amp_temperature / (HBAR * cfg.carrier_omega)
-    if sigma_amp < 0.5:
-        raise DomainError(f"amplifier noise occupation {sigma_amp:.3g} is "
-                          "below the 1/2 vacuum floor at the carrier "
-                          f"{cfg.carrier_omega / (2.0 * math.pi):.6g} Hz")
-    c_f = cfg.c_feedback
-    amp = IdealOpAmp(
-        r_left=cfg.amp_impedance,
-        r_right=cfg.r_readout,
-        z_feedback=lambda w: capacitor_impedance(c_f, w),
-    )
-    smap = opamp_scattering(amp, cfg.amp_impedance, cfg.carrier_omega,
-                            labels=(LINE_IN, LINE_OUT, AMP_A, AMP_AC))
-    row = smap.row(LINE_OUT)
-    c_signal = row[LINE_IN].amplitude  # readout gain on the input line field
-    if c_signal == 0.0:
+    amplitude, sigma_amp = capacitive_opamp(
+        cfg.amp_impedance, cfg.r_readout, cfg.c_feedback, cfg.amp_impedance,
+        cfg.amp_temperature, cfg.carrier_omega, "amplifier", "the carrier ")
+    row = [complex(c) for c in amplitude[1]]  # the readout line's row
+    # readout gain on the input line field, per unit of mass velocity
+    gain = row[0] * cfg.transducer_coupling
+    if gain == 0.0:
         raise ModelError("detection chain has zero signal gain")
-    kappa = cfg.transducer_coupling
-    nu = {}
-    for lab, coef in row.items():
-        nu[lab] = ModeCoefficient(coef.amplitude / (c_signal * kappa),
-                                  coef.conjugated)
-    return AccelerometerModel(cfg, nu)
+    labels = (LINE_IN, LINE_OUT, AMP_A, AMP_AC)
+    # the detection lines carry occupations demodulated from the carrier,
+    # the mechanical source its force PSD (its coefficient is unity)
+    occupations = dict(zip(labels, (0.5, 0.5, sigma_amp, sigma_amp)))
+    occupations[MECH] = mechanical_langevin_psd(cfg.mech_damping,
+                                                cfg.bath_temperature)
+    return AccelerometerModel(
+        cfg, {lab: c / gain for lab, c in zip(labels, row)}, occupations)
 
 
 def sensitivity_report(config: AccelerometerConfig) -> SensitivityReport:

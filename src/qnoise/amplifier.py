@@ -18,14 +18,15 @@ the two lines are uncorrelated; away from it the anomalous a-a' correlation
 carries the difference, leaving all physical port spectra R-independent.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .constants import HBAR
+from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
-from .network import ScatteringMap, TOL_REACTIVE
+from .network import ScatteringMap, TOL_REACTIVE, capacitor_impedance
 
 __all__ = [
     "GainStage",
@@ -33,6 +34,7 @@ __all__ = [
     "IdealOpAmp",
     "amplify_mode",
     "opamp_scattering",
+    "capacitive_opamp",
     "noise_line_occupations",
     "recombine_noise_sources",
 ]
@@ -86,8 +88,7 @@ class IdealOpAmp:
         return complex(zf) if zf.ndim == 0 else zf
 
 
-def amplify_mode(stage: GainStage, omega: float,
-                 labels: Tuple[str, str] = ("a", "b")) -> ScatteringMap:
+def amplify_mode(stage: GainStage, omega: float) -> ScatteringMap:
     """Two-line scattering map of a gain stage at omega, which a constant
     gain does not depend on.
 
@@ -102,13 +103,11 @@ def amplify_mode(stage: GainStage, omega: float,
     c = np.sqrt(abs(g) ** 2 - 1.0)
     amp = np.array([[g, c], [c, g]], dtype=complex)
     conj = np.array([[False, True], [True, False]])
-    return ScatteringMap(amp, conj, list(labels), list(labels))
+    return ScatteringMap(amp, conj, ["a", "b"], ["a", "b"])
 
 
 def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
-                     omega: float,
-                     labels: Tuple[str, str, str, str] = ("l", "r", "a", "a_conj"),
-                     ) -> ScatteringMap:
+                     omega: float) -> ScatteringMap:
     """Scattering rows of the ideal op-amp over lines (l, r, a, a'); an
     array of omega gives amplitudes with a leading frequency axis.
 
@@ -126,7 +125,6 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     # U coefficient sqrt(R/R_r)(R_l+Z_f)/R_l and I coefficient -Z_f/sqrt(R R_r)
     p = np.sqrt(r / rr) * (rl + zf) / rl
     q = zf / np.sqrt(r * rr)
-    lab_l, lab_r, lab_a, lab_ac = labels
     entries = np.broadcast_arrays(
         -1.0, 0.0, c_l_a, -c_l_a,
         -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q))
@@ -135,8 +133,27 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
         [False, False, False, True],
         [False, False, False, True],
     ])
-    return ScatteringMap(amp_mat, conj, [lab_l, lab_r],
-                         [lab_l, lab_r, lab_a, lab_ac])
+    return ScatteringMap(amp_mat, conj, ["l", "r"], ["l", "r", "a", "a_conj"])
+
+
+def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
+                     r_a: float, theta_a: float, omega, name: str,
+                     at: str = "") -> Tuple[np.ndarray, object]:
+    """Rows (left, right) over lines (l, r, a, a') of the ideal op-amp with
+    feedback capacitor `c_feedback`, decomposed at its matched impedance
+    r_a, and the occupation k_B Theta_a / hbar omega of its lines a, a'.
+    The first omega where that is below the 1/2 vacuum floor is rejected
+    in a message that `name` opens and `at` places."""
+    sigma = K_B * theta_a / (HBAR * omega)
+    low = np.flatnonzero(np.ravel(sigma) < 0.5)
+    if low.size:
+        raise DomainError(f"{name} noise occupation "
+                          f"{np.ravel(sigma)[low[0]]:.3g} is below the 1/2 "
+                          f"vacuum floor at {at}"
+                          f"{np.ravel(omega)[low[0]] / (2.0 * math.pi):.6g} Hz")
+    amp = IdealOpAmp(r_left, r_right,
+                     lambda w: capacitor_impedance(c_feedback, w))
+    return opamp_scattering(amp, r_a, omega).amplitude, sigma
 
 
 def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,

@@ -1,99 +1,105 @@
 """Calibrated estimators and per-source noise budgets.
 
-A readout row (one output field as a linear combination of input fields) is
-normalized by its signal coefficient, so the estimator reads as the signal
-plus an equivalent input noise sum_alpha mu_alpha alpha_in.  The budget is
-the per-source decomposition |mu_alpha|^2 sigma_alpha of the added-noise
-spectrum.  Coefficients, occupations and budget terms are numbers at one
-frequency or arrays over a sweep (one value per frequency).
+Passive, gain, op-amp and muscope estimators are each compiled once into
+a `CompiledEstimator` and evaluated by the one kernel `evaluate`.  Divided
+by its signal coefficient, a readout row reads as the signal plus an
+equivalent input noise sum_alpha mu_alpha alpha_in; the budget is the
+per-source decomposition scale |mu_alpha|^2 sigma_alpha of the added-noise
+spectrum.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelError
-from .network import ModeCoefficient, SpectrumTable
+from .errors import DomainError, QNoiseError
 
 __all__ = [
-    "EstimatorRow",
+    "CompiledEstimator",
     "NoiseBudget",
-    "normalize_estimator",
-    "added_noise_spectrum",
+    "evaluate",
     "snr_degradation",
-    "integrate_budget",
 ]
 
 
-@dataclass(frozen=True)
-class EstimatorRow:
-    """Normalized readout: unit signal gain plus per-line noise coefficients."""
+class CompiledEstimator(NamedTuple):
+    """One estimator over a grid of F frequencies: its raw readout row
+    `coefficients` (K, F) on the K `sources`, the index `signal` of the
+    source whose row is the signal coefficient, the `occupations` (K, F) of
+    the sources, or (K, 1) when flat in frequency, and the unit `scale`:
+    hbar|omega| (F,) for an energy PSD, 1.0 for a force PSD.  `label`
+    names the estimator in messages."""
 
-    coefficients: Dict[str, ModeCoefficient]
+    label: str
+    sources: List[str]
+    coefficients: np.ndarray
+    signal: int
+    occupations: np.ndarray
+    scale: object
 
 
-@dataclass
-class NoiseBudget:
-    """Per-source noise terms |mu|^2 sigma and their total, in units^2/Hz of
-    the estimated quantity; over a sweep each term and the total are arrays.
-    Dominant sources (of a single-frequency or band-integrated budget) are
-    the strict maxima; ties report every maximizer."""
+class NoiseBudget(NamedTuple):
+    """Per-source noise spectra `terms` (F,) and their `total` (F,), in
+    units^2/Hz of the estimated quantity, with the band integral of each
+    source (trapezoidal in Hz; the value itself on a 1-point grid) in
+    `band` and their sum in `band_total`, both Python floats."""
 
-    terms: Dict[str, float]
-
-    @property
-    def total(self) -> float:
-        return _number(sum(self.terms.values()))
+    terms: Dict[str, np.ndarray]
+    total: np.ndarray
+    band: Dict[str, float]
+    band_total: float
 
     @property
     def dominant(self) -> List[str]:
-        if not self.terms:
-            return []
-        top = max(self.terms.values())
-        return sorted(lab for lab, v in self.terms.items() if v == top)
+        """The sources with the largest band integral; ties report every
+        maximizer."""
+        top = max(self.band.values())
+        return sorted(src for src, v in self.band.items() if v == top)
+
+    def records(self, label: str) -> List[dict]:
+        """budget.csv rows of the estimator `label`: per source its band
+        integral, share of the total and dominance, then its TOTAL."""
+        total = self.band_total
+        dominant = self.dominant
+        return [{"estimator": label, "source": src, "band_integrated": value,
+                 "fraction_of_total": value / total if total > 0.0 else 0.0,
+                 "dominant": src in dominant}
+                for src, value in self.band.items()] + [
+            {"estimator": label, "source": "TOTAL", "band_integrated": total,
+             "fraction_of_total": 1.0, "dominant": False}]
 
 
-def normalize_estimator(coefficients: Mapping[str, ModeCoefficient],
-                        signal_coefficient: complex) -> EstimatorRow:
-    """Divide a readout row by its signal coefficient.
+def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray) -> NoiseBudget:
+    """Budget of `est` over its grid `freqs_hz`.
 
-    A vanishing signal coefficient means the signal path is blocked and the
-    estimator is undefined.
+    Divides the row by the signal coefficient, naming the first frequency
+    where that is 0 and the first source and frequency where |c/s|^2 is
+    not finite, forms scale |c/s|^2 sigma, sums the sources in order into
+    the total and band-integrates every source with one trapezoid over the
+    frequency axis.
     """
-    s = np.asarray(signal_coefficient, dtype=complex)
-    if np.any(s == 0.0):
-        raise DomainError("zero signal coefficient: estimator undefined "
-                          "(signal blocked)")
-    if s.ndim == 0:
-        s = complex(s)
-    return EstimatorRow({lab: ModeCoefficient(c.amplitude / s, c.conjugated)
-                         for lab, c in coefficients.items()})
-
-
-def added_noise_spectrum(row: EstimatorRow, table: SpectrumTable,
-                         ) -> NoiseBudget:
-    """Per-source budget term_alpha = |mu_alpha|^2 sigma_alpha.
-
-    Conjugation flags do not alter magnitudes (spectra are symmetrized).
-    Anomalous input correlations are rejected here: a budget must stay a sum
-    of nonnegative per-source terms, so correlated decompositions should be
-    evaluated at their matched impedance first.
-    """
-    for (j, k), m in table.anomalous.items():
-        if m != 0.0 and j in row.coefficients and k in row.coefficients:
-            raise ModelError(
-                f"anomalous correlation between {j!r} and {k!r}: re-decompose "
-                "at the matched impedance before building a budget")
-    terms = {}
-    for label, coef in row.coefficients.items():
-        terms[label] = _number(abs(coef.amplitude) ** 2 * table.sigma(label))
-    return NoiseBudget(terms)
-
-
-def _number(value):
-    """A 0-d value as a Python float; arrays pass through."""
-    return float(value) if np.ndim(value) == 0 else value
+    signal = est.coefficients[est.signal]
+    zero = signal == 0.0
+    if zero.any():
+        raise QNoiseError(
+            f"measure {est.label}: signal coefficient of line "
+            f"{est.sources[est.signal]!r} underflows to 0 at "
+            f"{freqs_hz[np.argmax(zero)]:.6g} Hz (below the smallest double)")
+    terms = np.abs(np.ascontiguousarray(est.coefficients) / signal) ** 2
+    big = ~np.isfinite(terms)
+    if big.any():
+        k, f = np.unravel_index(np.argmax(big), big.shape)
+        raise QNoiseError(
+            f"estimator {est.label}: source {est.sources[k]} has a non-finite "
+            f"noise budget (numeric overflow) at {freqs_hz[f]:.6g} Hz, where "
+            "its signal-normalised coefficient |c/s|^2 overflows")
+    terms *= est.occupations
+    terms *= est.scale
+    band = (terms[:, 0] if len(freqs_hz) == 1 else
+            np.trapezoid(terms, freqs_hz, axis=-1)).tolist()
+    # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
+    return NoiseBudget(dict(zip(est.sources, terms)), sum(terms),
+                       dict(zip(est.sources, band)), sum(band))
 
 
 def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:
@@ -111,21 +117,3 @@ def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:
     if g2 < 1.0:
         raise DomainError("|G| >= 1 required")
     return theta_a / (theta_a + (1.0 - 1.0 / g2) * theta_b)
-
-
-def integrate_budget(budget: NoiseBudget,
-                     frequencies_hz: Sequence[float]) -> NoiseBudget:
-    """Band-integrated budget (trapezoidal in Hz) of a budget whose terms
-    are arrays with one value per sweep frequency."""
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    if freqs.size == 0:
-        raise ModelError("empty sweep")
-    integrated = {}
-    for lab, values in budget.terms.items():
-        if np.shape(values) != freqs.shape:
-            raise ModelError("one budget value per frequency point required")
-        if len(freqs) == 1:
-            integrated[lab] = float(values[0])
-        else:
-            integrated[lab] = float(np.trapezoid(values, freqs))
-    return NoiseBudget(integrated)

@@ -21,7 +21,6 @@ from .errors import DomainError, ModelError
 
 __all__ = [
     "NoiseLine",
-    "ModeCoefficient",
     "ScatteringMap",
     "SpectrumTable",
     "capacitor_impedance",

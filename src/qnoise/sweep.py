@@ -6,13 +6,11 @@ spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
 occupation budget); the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-The library functions take omega as a number or as an array over the whole
-sweep; with an array, scattering amplitudes, estimator coefficients and
-budget terms carry a leading frequency axis.  `run` calls each layer once
-per sweep and solves the passive network once for all its measures.
-A budget that would contain a non-finite cell raises QNoiseError and
-nothing is written.  The preset and op-amp models and json load only where
-a run uses them.
+`run` solves the passive network once for all its measures, compiles
+each measure into one `CompiledEstimator` over the whole sweep and
+evaluates it with `qnoise.estimator.evaluate`.  A budget that would contain
+a non-finite cell raises QNoiseError and nothing is written.  The preset
+and op-amp models and json load only where a run uses them.
 """
 
 import dataclasses
@@ -23,15 +21,13 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .constants import HBAR, K_B
+from .constants import HBAR
 from .errors import QNoiseError
-from .estimator import NoiseBudget, added_noise_spectrum, integrate_budget, \
-    normalize_estimator
+from .estimator import CompiledEstimator, evaluate
 from .netlist import MeasureDecl, NetlistDocument, OpAmpDecl, PresetDecl, \
     SweepDecl
-from .network import (ModeCoefficient, NoiseLine, ScatteringMap,
-                      SpectrumTable, capacitor_impedance, impedance_matrix,
-                      inductor_impedance, stamp_solver)
+from .network import NoiseLine, capacitor_impedance, impedance_matrix, \
+    inductor_impedance, stamp_solver
 from .spectra import symmetrized_occupation
 
 if TYPE_CHECKING:
@@ -80,15 +76,16 @@ def preset_config(preset: PresetDecl,
     return dataclasses.replace(MUSCOPE, **kwargs)
 
 
-def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
-                 omegas: np.ndarray) -> Tuple[ScatteringMap, Dict]:
-    """Rows of the passive network (every line outside an op-amp) for the
-    lines of `measures` over the sweep, and the occupations of its lines.
+def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
+                  omegas: np.ndarray) -> Dict[str, Tuple]:
+    """Readout rows of the passive network (every line outside an op-amp)
+    for the lines of `measures`: per measured line, the line labels, its
+    row (n, F) over them and their occupations (n, F).
 
     The network is solved once for all passive measures, in frequency
     blocks of BLOCK_ENTRIES impedance-matrix entries each.  A measure whose
     signal line no cap or ind path joins to its line is rejected before the
-    solve; one whose signal coefficient underflows to 0 is rejected after.
+    solve.
     """
     opamp_of = {line: d.name for d in doc.opamps for line in (d.left, d.right)}
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
@@ -136,85 +133,62 @@ def _passive_map(doc: NetlistDocument, measures: List[MeasureDecl],
     amplitude = np.concatenate([
         solve(omegas[start:start + block, None, None])
         for start in range(0, len(omegas), block)])
-    for m in measures:
-        if m.signal in index:
-            zero = amplitude[:, measured.index(m.line), index[m.signal]] == 0.0
-            if zero.any():
-                raise QNoiseError(
-                    f"measure {m.label}: signal coefficient of line "
-                    f"{m.signal!r} underflows to 0 at "
-                    f"{omegas[np.argmax(zero)] / (2.0 * math.pi):.6g} Hz "
-                    "(below the smallest double)")
-    occupations = {line.label: symmetrized_occupation(omegas, line.temperature)
-                   for line in lines}
-    return ScatteringMap(amplitude,
-                         np.zeros((len(measured), len(lines)), dtype=bool),
-                         measured, list(index)), occupations
+    occupations = np.array([symmetrized_occupation(omegas, line.temperature)
+                            for line in lines])
+    return {line: (list(index), amplitude[:, k, :].T, occupations)
+            for k, line in enumerate(measured)}
 
 
-def _opamp_budget(doc: NetlistDocument, decl: OpAmpDecl,
-                  measure: MeasureDecl, omegas: np.ndarray) -> NoiseBudget:
+def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
+                measure: MeasureDecl, omegas: np.ndarray) -> Tuple:
+    """The labels of an op-amp's lines and noise pair, the row (4, F) of
+    the measured line over them, and their occupations (4, F)."""
     if (measure.line, measure.signal) == (decl.left, decl.right):
         raise QNoiseError(f"measure {measure.label}: signal line "
                           f"{measure.signal!r} is the right line of op-amp "
                           f"{decl.name!r}, which passes nothing to its left "
                           f"line {measure.line!r}")
-    from .amplifier import IdealOpAmp, opamp_scattering
+    from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
     left = line_decls[decl.left]
     right = line_decls[decl.right]
-    sigma_amp = K_B * decl.amp_temperature / (HBAR * omegas)
-    k = np.argmax(sigma_amp < 0.5)  # the first point below the floor, if any
-    if sigma_amp[k] < 0.5:
-        raise QNoiseError(f"op-amp {decl.name}: noise occupation "
-                          f"{sigma_amp[k]:.3g} is below the 1/2 vacuum floor "
-                          f"at {omegas[k] / (2.0 * math.pi):.6g} Hz")
-    amp = IdealOpAmp(left.resistance, right.resistance,
-                     lambda w: capacitor_impedance(
-                         decl.feedback_capacitance, w))
-    labels = (decl.left, decl.right, f"{decl.name}_a",
-              f"{decl.name}_a_conj")
-    smap = opamp_scattering(amp, decl.amp_impedance, omegas, labels=labels)
-    occupations = dict(zip(labels, (
+    amplitude, sigma_amp = capacitive_opamp(
+        left.resistance, right.resistance, decl.feedback_capacitance,
+        decl.amp_impedance, decl.amp_temperature, omegas,
+        f"op-amp {decl.name}:")
+    occupations = np.array([
         symmetrized_occupation(omegas, left.temperature),
         symmetrized_occupation(omegas, right.temperature),
-        sigma_amp, sigma_amp)))
-    return _energy_budget(doc, measure, smap.row(measure.line), occupations,
-                          omegas)
+        sigma_amp, sigma_amp])
+    row = amplitude[:, (decl.left, decl.right).index(measure.line), :].T
+    return ([decl.left, decl.right, f"{decl.name}_a", f"{decl.name}_a_conj"],
+            row, occupations)
 
 
-def _energy_budget(doc: NetlistDocument, measure: MeasureDecl,
-                   row: Dict[str, ModeCoefficient], occupations: Dict,
-                   omegas: np.ndarray) -> NoiseBudget:
-    """Budget of a field readout through the gains on its line, normalized
-    to its signal line, as energy PSDs hbar|w| Sigma (k_B Theta)."""
-    occupations = dict(occupations)
+def _field_estimator(doc: NetlistDocument, measure: MeasureDecl,
+                     sources: List[str], row: np.ndarray,
+                     occupations: np.ndarray,
+                     omegas: np.ndarray) -> CompiledEstimator:
+    """Estimator of a field readout `row` (K, F) on `sources` through the
+    gains on its line, normalized to its signal line, as energy PSDs
+    hbar|w| Sigma (k_B Theta).  Each gain multiplies the row, the signal
+    with it, and adds its conjugated noise line."""
     for g in doc.gains:
         if g.input_line != measure.line:
             continue
         gain = complex(g.gain)
-        row = {lab: ModeCoefficient(gain * c.amplitude, c.conjugated)
-               for lab, c in row.items()}
-        b_label = f"{g.name}_b"
-        row[b_label] = ModeCoefficient(math.sqrt(abs(gain) ** 2 - 1.0), True)
-        occupations[b_label] = symmetrized_occupation(omegas,
-                                                      g.noise_temperature)
-    if measure.signal not in row:
+        sources = sources + [f"{g.name}_b"]
+        row = np.vstack([gain * row, np.full(
+            len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
+        occupations = np.vstack([occupations, symmetrized_occupation(
+            omegas, g.noise_temperature)])
+    if measure.signal not in sources:
         raise QNoiseError(f"measure {measure.label}: signal line "
                           f"{measure.signal!r} is outside the subnetwork of "
                           f"line {measure.line!r}")
-    est = normalize_estimator(row, row[measure.signal].amplitude)
-    for lab, c in est.coefficients.items():
-        big = ~np.isfinite(np.abs(c.amplitude) ** 2)
-        if big.any():
-            raise QNoiseError(
-                f"estimator {measure.label}: source {lab} has a non-finite "
-                "noise budget (numeric overflow) at "
-                f"{omegas[np.argmax(big)] / (2.0 * math.pi):.6g} Hz, where "
-                "its signal-normalised coefficient |c/s|^2 overflows")
-    budget = added_noise_spectrum(est, SpectrumTable(occupations))
-    scale = HBAR * np.abs(omegas)
-    return NoiseBudget({lab: scale * v for lab, v in budget.terms.items()})
+    return CompiledEstimator(measure.label, sources, row,
+                             sources.index(measure.signal), occupations,
+                             HBAR * np.abs(omegas))
 
 
 #: number format of every CSV cell; the golden outputs are byte-exact
@@ -260,25 +234,27 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     # overflow turns into inf/nan here, which is rejected below by name
     with np.errstate(all="ignore"):
         if passive:
-            smap, occupations = _passive_map(doc, passive, omegas)
+            rows = _passive_rows(doc, passive, omegas)
         for measure in measures:
             if measure.line == "muscope":
                 from .accelerometer import build_accelerometer
                 model = build_accelerometer(config)
-                budget = model.budget(omegas)
+                est = model.estimator(omegas, measure.label)
             elif measure.line in opamp_by_line:
-                budget = _opamp_budget(doc, opamp_by_line[measure.line],
-                                       measure, omegas)
+                est = _field_estimator(doc, measure, *_opamp_rows(
+                    doc, opamp_by_line[measure.line], measure, omegas),
+                    omegas)
             else:
-                budget = _energy_budget(doc, measure, smap.row(measure.line),
-                                        occupations, omegas)
+                est = _field_estimator(doc, measure, *rows[measure.line],
+                                       omegas)
+            budget = evaluate(est, freqs_hz)
             spectra.append((measure.label, "total", budget.total))
             spectra.extend((measure.label, src, values)
                            for src, values in budget.terms.items())
-            records.extend(_budget_records(
-                measure.label, integrate_budget(budget, freqs_hz)))
+            records.extend(budget.records(measure.label))
             if measure.line == "muscope":
-                report = model.report()
+                # the kernel on the 1-point grid at the measurement frequency
+                report = model.report(measure.label)
                 records += [{"estimator": measure.label, "source": src,
                              "band_integrated": value} for src, value in (
                     ("sigma_FF_at_measure_freq", report.sigma_ff),
@@ -310,19 +286,6 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         _write_text(paths["json"], [(json.dumps(
             records, indent=2, sort_keys=True) + "\n").encode()])
     return paths
-
-
-def _budget_records(label: str, integrated: NoiseBudget) -> List[dict]:
-    """Per-source band-integrated rows of one estimator, then its TOTAL."""
-    total = integrated.total
-    dominant = integrated.dominant
-    records = [{"estimator": label, "source": src, "band_integrated": value,
-                "fraction_of_total": value / total if total > 0.0 else 0.0,
-                "dominant": src in dominant}
-               for src, value in integrated.terms.items()]
-    return records + [{"estimator": label, "source": "TOTAL",
-                       "band_integrated": total, "fraction_of_total": 1.0,
-                       "dominant": False}]
 
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):

@@ -58,12 +58,24 @@ class TestConfig:
         with pytest.raises(DomainError):
             replace(MUSCOPE, loop_gain=-1.0)
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_impedance_or_capacitance(self, value):
+        for name in ("readout_impedance", "feedback_capacitance"):
+            with pytest.raises(DomainError, match=name):
+                replace(MUSCOPE, **{name: value})
+
+    @pytest.mark.parametrize("changes", [{"amp_impedance": 1e-320},
+                                         {"readout_impedance": 1e308}])
+    def test_rejects_default_feedback_capacitance_out_of_range(self,
+                                                              changes):
+        with pytest.raises(DomainError, match="feedback_capacitance"):
+            replace(MUSCOPE, **changes)
+
 
 class TestBuildAccelerometer:
     def test_source_labels(self):
         model = build_accelerometer(MUSCOPE)
-        table = model.spectrum_table()
-        assert set(table.occupations) == \
+        assert set(model.occupations) == \
             {MECH, LINE_IN, LINE_OUT, AMP_A, AMP_AC}
         assert set(model.detection_coefficients) == \
             {LINE_IN, LINE_OUT, AMP_A, AMP_AC}
@@ -71,15 +83,17 @@ class TestBuildAccelerometer:
     def test_detection_lines_at_amplifier_temperature(self):
         from qnoise.constants import HBAR
         model = build_accelerometer(MUSCOPE)
-        table = model.spectrum_table()
         sigma = K_B * 1.5 / (HBAR * MUSCOPE.carrier_omega)
-        assert table.sigma(AMP_A) == pytest.approx(sigma, rel=1e-12)
-        assert table.sigma(LINE_IN) == 0.5
+        assert model.occupations[AMP_A] == pytest.approx(sigma, rel=1e-12)
+        assert model.occupations[LINE_IN] == 0.5
 
     def test_estimator_unit_force_gain(self):
         model = build_accelerometer(MUSCOPE)
-        row = model.estimator_row()
-        assert row.coefficients[MECH].amplitude == pytest.approx(1.0)
+        est = model.estimator(np.array([MUSCOPE.measure_omega]))
+        assert est.sources[est.signal] == MECH
+        assert est.coefficients[est.signal] == \
+            pytest.approx(1.0 / (MUSCOPE.mech_damping * (1 + MUSCOPE.loop_gain)
+                                 - 1j * MUSCOPE.measure_omega * MUSCOPE.mass))
 
     def test_estimator_independent_of_loop_gain(self):
         # cold damping: the normalized force estimator does not change when
@@ -87,12 +101,10 @@ class TestBuildAccelerometer:
         rows = []
         for g in (0.0, 1e3, 1e6, 1e9):
             model = build_accelerometer(replace(MUSCOPE, loop_gain=g))
-            rows.append(model.estimator_row())
-        ref = rows[0]
+            est = model.estimator(np.array([MUSCOPE.measure_omega]))
+            rows.append(est.coefficients / est.coefficients[est.signal])
         for row in rows[1:]:
-            for lab in ref.coefficients:
-                assert row.coefficients[lab].amplitude == \
-                    pytest.approx(ref.coefficients[lab].amplitude, rel=1e-12)
+            np.testing.assert_allclose(row, rows[0], rtol=1e-12)
 
     def test_detection_noise_shrinks_with_coupling(self):
         strong = build_accelerometer(

@@ -3,148 +3,168 @@ import math
 import numpy as np
 import pytest
 
-from qnoise.errors import DomainError, ModelError
-from qnoise.estimator import (EstimatorRow, NoiseBudget, added_noise_spectrum,
-                              integrate_budget, normalize_estimator,
+from qnoise.errors import DomainError, QNoiseError
+from qnoise.estimator import (CompiledEstimator, NoiseBudget, evaluate,
                               snr_degradation)
-from qnoise.network import ModeCoefficient, SpectrumTable
+
+ONE_POINT = np.array([1e3])
 
 
-def amplifier_readout(gain):
-    """Readout row of a bare gain stage: G on the signal line, the
-    conjugated sqrt(|G|^2 - 1) on the added-noise line."""
-    c = math.sqrt(abs(gain) ** 2 - 1.0)
-    return {"sig": ModeCoefficient(gain, False),
-            "add": ModeCoefficient(c, True)}
+def amplifier_readout(gain, occupations=(1.0, 1.0), freqs=ONE_POINT):
+    """Estimator of a bare gain stage over `freqs`: G on the signal line,
+    sqrt(|G|^2 - 1) on the added-noise line (conjugated, which the budget
+    does not see), read in occupation units (scale 1)."""
+    g = np.broadcast_to(np.asarray(gain, dtype=complex), np.shape(freqs))
+    rows = np.array([g, np.sqrt(np.abs(g) ** 2 - 1.0) + 0j])
+    sigma = np.array([np.broadcast_to(o, np.shape(freqs))
+                      for o in occupations], dtype=float)
+    return CompiledEstimator("q", ["sig", "add"], rows, 0, sigma, 1.0)
+
+
+def random_estimator(rng, k, freqs):
+    """K sources with random complex coefficients over `freqs` and random
+    occupations, read on a unit signal (source s0)."""
+    rows = rng.standard_normal((k, len(freqs))) \
+        + 1j * rng.standard_normal((k, len(freqs)))
+    rows[0] = 1.0
+    sigma = rng.uniform(0.5, 10.0, (k, len(freqs)))
+    return CompiledEstimator("r", [f"s{i}" for i in range(k)], rows, 0,
+                             sigma, 1.0)
 
 
 class TestNormalizeEstimator:
+    """The kernel divides the row by the signal coefficient."""
+
     def test_divides_by_signal_coefficient(self):
-        row = normalize_estimator(amplifier_readout(2.0), 2.0)
-        assert row.coefficients["sig"].amplitude == pytest.approx(1.0)
-        assert row.coefficients["add"].amplitude == \
-            pytest.approx(math.sqrt(3.0) / 2.0)
-        assert row.coefficients["add"].conjugated
+        budget = evaluate(amplifier_readout(2.0), ONE_POINT)
+        assert budget.terms["sig"][0] == pytest.approx(1.0)
+        assert budget.terms["add"][0] == pytest.approx(3.0 / 4.0)
 
     def test_amplifier_noise_weight(self):
         # |mu_add|^2 = 1 - 1/|G|^2 after normalization
         for g in (1.5, 2.0, 10.0, 1e4):
-            row = normalize_estimator(amplifier_readout(g), g)
-            assert abs(row.coefficients["add"].amplitude) ** 2 == \
+            budget = evaluate(amplifier_readout(g), ONE_POINT)
+            assert budget.terms["add"][0] == \
                 pytest.approx(1.0 - 1.0 / g ** 2, rel=1e-12)
 
     def test_large_gain_limit(self):
-        row = normalize_estimator(amplifier_readout(1e8), 1e8)
-        assert abs(row.coefficients["add"].amplitude) == \
-            pytest.approx(1.0, rel=1e-12)
+        budget = evaluate(amplifier_readout(1e8), ONE_POINT)
+        assert budget.terms["add"][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_idempotent_once_normalized(self):
-        row = normalize_estimator(amplifier_readout(3.0), 3.0)
-        again = normalize_estimator(row.coefficients,
-                                    row.coefficients["sig"].amplitude)
+        est = amplifier_readout(3.0, (0.5, 2.0))
+        normalized = est._replace(coefficients=est.coefficients
+                                  / est.coefficients[0])
+        first = evaluate(est, ONE_POINT)
+        again = evaluate(normalized, ONE_POINT)
         for lab in ("sig", "add"):
-            assert again.coefficients[lab].amplitude == \
-                pytest.approx(row.coefficients[lab].amplitude)
+            assert again.terms[lab] == pytest.approx(first.terms[lab])
 
     def test_complex_phase_removed_from_signal(self):
-        s = 2.0 * np.exp(1j * 0.7)
-        row = normalize_estimator({"sig": ModeCoefficient(s, False)}, s)
-        assert row.coefficients["sig"].amplitude == pytest.approx(1.0)
+        budget = evaluate(amplifier_readout(2.0 * np.exp(1j * 0.7)),
+                          ONE_POINT)
+        assert budget.terms["sig"][0] == pytest.approx(1.0)
 
     def test_zero_signal_rejected(self):
-        with pytest.raises(DomainError):
-            normalize_estimator(amplifier_readout(2.0), 0.0)
+        est = amplifier_readout(2.0)
+        est.coefficients[0] = 0.0
+        with pytest.raises(QNoiseError) as info:
+            evaluate(est, ONE_POINT)
+        assert str(info.value) == (
+            "measure q: signal coefficient of line 'sig' underflows to 0 at "
+            "1000 Hz (below the smallest double)")
+
+    def test_non_finite_coefficient_named(self):
+        # the first source, then its first frequency, where |c/s|^2 is not
+        # finite
+        freqs = np.array([1.0, 2.0, 3.0])
+        est = amplifier_readout([2.0, 2.0, 2.0], freqs=freqs)
+        rows = est.coefficients.copy()
+        rows[1, 1:] = 1e200
+        with pytest.raises(QNoiseError) as info, np.errstate(over="ignore"):
+            evaluate(est._replace(coefficients=rows), freqs)
+        assert str(info.value) == (
+            "estimator q: source add has a non-finite noise budget (numeric "
+            "overflow) at 2 Hz, where its signal-normalised coefficient "
+            "|c/s|^2 overflows")
 
 
 class TestSweepArrays:
     """Rows, occupations and budgets carry one value per frequency."""
 
     GAINS = np.array([1.5, 2.0, 10.0])
+    FREQS = np.array([1.0, 2.0, 3.0])
+    ADD = np.array([0.5, 1.0, 2.0])
 
     def budget(self):
-        readout = {"sig": ModeCoefficient(self.GAINS, False),
-                   "add": ModeCoefficient(np.sqrt(self.GAINS ** 2 - 1.0),
-                                          True)}
-        row = normalize_estimator(readout, self.GAINS)
-        return added_noise_spectrum(
-            row, SpectrumTable({"sig": 0.5, "add": np.array([0.5, 1.0, 2.0])}))
+        return evaluate(amplifier_readout(self.GAINS, (0.5, self.ADD),
+                                          self.FREQS), self.FREQS)
 
     def test_terms_match_single_frequency(self):
         budget = self.budget()
         for k, g in enumerate(self.GAINS):
-            row = normalize_estimator(amplifier_readout(g), g)
-            single = added_noise_spectrum(
-                row, SpectrumTable({"sig": 0.5, "add": [0.5, 1.0, 2.0][k]}))
+            single = evaluate(amplifier_readout(g, (0.5, self.ADD[k])),
+                              ONE_POINT)
             for lab in ("sig", "add"):
-                assert budget.terms[lab][k] == \
-                    pytest.approx(single.terms[lab], rel=1e-14)
+                assert budget.terms[lab][k] == single.terms[lab][0]
+            assert budget.total[k] == single.total[0]
 
     def test_total_is_an_array(self):
         budget = self.budget()
-        np.testing.assert_allclose(budget.total,
-                                   budget.terms["sig"] + budget.terms["add"])
+        assert budget.total.shape == (3,)
+        assert (budget.total
+                == budget.terms["sig"] + budget.terms["add"]).all()
 
     def test_single_frequency_stays_float(self):
-        row = normalize_estimator(amplifier_readout(2.0), 2.0)
-        budget = added_noise_spectrum(row, SpectrumTable({"sig": 0.5,
-                                                          "add": 0.5}))
-        assert type(budget.terms["add"]) is float
-        assert type(budget.total) is float
-        assert type(row.coefficients["sig"].amplitude) is complex
+        # the band values feed budget.csv and budget.json as Python floats
+        budget = evaluate(amplifier_readout(2.0), ONE_POINT)
+        assert all(type(v) is float for v in budget.band.values())
+        assert type(budget.band_total) is float
 
     def test_zero_signal_at_one_frequency_rejected(self):
-        with pytest.raises(DomainError):
-            normalize_estimator({"sig": ModeCoefficient(np.ones(3))},
-                                np.array([1.0, 0.0, 2.0]))
+        est = amplifier_readout(self.GAINS, freqs=self.FREQS)
+        est.coefficients[0, 1] = 0.0
+        with pytest.raises(QNoiseError, match="underflows to 0 at 2 Hz"):
+            evaluate(est, self.FREQS)
 
 
 class TestAddedNoiseSpectrum:
     def test_vacuum_inputs_g_sqrt2(self):
         # |G| = sqrt(2) on vacuum: 0.5 + (1 - 1/2) 0.5 = 0.75
-        g = math.sqrt(2.0)
-        row = normalize_estimator(amplifier_readout(g), g)
-        budget = added_noise_spectrum(
-            row, SpectrumTable({"sig": 0.5, "add": 0.5}))
-        assert budget.total == pytest.approx(0.75, rel=1e-12)
-        assert budget.terms["sig"] == pytest.approx(0.5, rel=1e-12)
-        assert budget.terms["add"] == pytest.approx(0.25, rel=1e-12)
+        budget = evaluate(amplifier_readout(math.sqrt(2.0), (0.5, 0.5)),
+                          ONE_POINT)
+        assert budget.total[0] == pytest.approx(0.75, rel=1e-12)
+        assert budget.terms["sig"][0] == pytest.approx(0.5, rel=1e-12)
+        assert budget.terms["add"][0] == pytest.approx(0.25, rel=1e-12)
 
     def test_budget_additivity(self):
         rng = np.random.default_rng(19)
-        coeffs = {f"s{i}": ModeCoefficient(rng.standard_normal()
-                                           + 1j * rng.standard_normal(),
-                                           bool(rng.integers(2)))
-                  for i in range(6)}
-        sigmas = {f"s{i}": rng.uniform(0.5, 10.0) for i in range(6)}
-        row = EstimatorRow(coeffs)
-        budget = added_noise_spectrum(row, SpectrumTable(sigmas))
-        direct = sum(abs(coeffs[lab].amplitude) ** 2 * sigmas[lab]
-                     for lab in coeffs)
-        assert budget.total == pytest.approx(direct, rel=1e-14)
-        assert all(v >= 0.0 for v in budget.terms.values())
+        est = random_estimator(rng, 6, ONE_POINT)
+        budget = evaluate(est, ONE_POINT)
+        direct = sum(abs(c[0]) ** 2 * s[0]
+                     for c, s in zip(est.coefficients, est.occupations))
+        assert budget.terms["s0"][0] == est.occupations[0, 0]
+        assert budget.total[0] == pytest.approx(direct, rel=1e-14)
+        assert all(v[0] >= 0.0 for v in budget.terms.values())
+
+    def test_energy_scale(self):
+        # an energy PSD: hbar|w| times the occupation budget, per frequency
+        freqs = np.array([1.0, 2.0])
+        est = amplifier_readout([2.0, 2.0], freqs=freqs)
+        plain = evaluate(est, freqs)
+        scaled = evaluate(est._replace(scale=np.array([3.0, 5.0])), freqs)
+        for lab in ("sig", "add"):
+            assert (scaled.terms[lab] == [3.0, 5.0] * plain.terms[lab]).all()
 
     def test_dominant_source(self):
-        budget = NoiseBudget({"a": 1.0, "b": 3.0, "c": 2.0})
+        budget = NoiseBudget({}, np.zeros(1), {"a": 1.0, "b": 3.0, "c": 2.0},
+                             6.0)
         assert budget.dominant == ["b"]
 
     def test_dominant_reports_ties(self):
-        budget = NoiseBudget({"a": 3.0, "b": 3.0, "c": 2.0})
+        budget = NoiseBudget({}, np.zeros(1), {"a": 3.0, "b": 3.0, "c": 2.0},
+                             8.0)
         assert budget.dominant == ["a", "b"]
-
-    def test_rejects_anomalous_correlations(self):
-        row = EstimatorRow({"a": ModeCoefficient(1.0, False),
-                            "b": ModeCoefficient(1.0, True)})
-        table = SpectrumTable({"a": 1.0, "b": 1.0},
-                              anomalous={("a", "b"): 0.3})
-        with pytest.raises(ModelError):
-            added_noise_spectrum(row, table)
-
-    def test_ignores_anomalous_outside_row(self):
-        row = EstimatorRow({"a": ModeCoefficient(1.0, False)})
-        table = SpectrumTable({"a": 2.0, "b": 1.0, "c": 1.0},
-                              anomalous={("b", "c"): 0.3})
-        budget = added_noise_spectrum(row, table)
-        assert budget.total == pytest.approx(2.0)
 
 
 class TestSnrDegradation:
@@ -182,35 +202,55 @@ class TestSnrDegradation:
 
 
 class TestIntegrateBudget:
+    """The kernel band-integrates every source in one trapezoid."""
+
+    @staticmethod
+    def flat(values, freqs):
+        """Unit coefficients on sources whose occupations are `values`."""
+        rows = np.ones((len(values), len(freqs)), dtype=complex)
+        return CompiledEstimator("i", [f"s{k}" for k in range(len(values))],
+                                 rows, 0, np.array(values, float), 1.0)
+
     def test_constant_budget(self):
         freqs = np.linspace(10.0, 20.0, 5)
-        budget = NoiseBudget({"a": np.full(5, 2.0), "b": np.ones(5)})
-        out = integrate_budget(budget, freqs)
-        assert out.terms["a"] == pytest.approx(20.0, rel=1e-12)
-        assert out.terms["b"] == pytest.approx(10.0, rel=1e-12)
+        budget = evaluate(self.flat([np.full(5, 2.0), np.ones(5)], freqs),
+                          freqs)
+        assert budget.band["s0"] == pytest.approx(20.0, rel=1e-12)
+        assert budget.band["s1"] == pytest.approx(10.0, rel=1e-12)
 
     def test_linear_budget_exact_under_trapezoid(self):
         freqs = np.linspace(0.0, 1.0, 11)
-        out = integrate_budget(NoiseBudget({"a": 3.0 * freqs}), freqs)
-        assert out.terms["a"] == pytest.approx(1.5, rel=1e-12)
+        budget = evaluate(self.flat([3.0 * freqs], freqs), freqs)
+        assert budget.band["s0"] == pytest.approx(1.5, rel=1e-12)
 
     def test_total_matches_sum_of_terms(self):
         rng = np.random.default_rng(29)
         freqs = np.linspace(1.0, 2.0, 7)
-        budget = NoiseBudget({"a": rng.uniform(0, 1, 7),
-                              "b": rng.uniform(0, 1, 7)})
-        out = integrate_budget(budget, freqs)
-        assert out.total == pytest.approx(np.trapezoid(budget.total, freqs),
-                                          rel=1e-12)
+        budget = evaluate(self.flat(rng.uniform(0, 1, (2, 7)), freqs), freqs)
+        assert budget.band_total == pytest.approx(
+            np.trapezoid(budget.total, freqs), rel=1e-12)
 
     def test_single_point_passthrough(self):
-        out = integrate_budget(NoiseBudget({"a": np.array([4.0])}), [100.0])
-        assert out.terms["a"] == 4.0
+        budget = evaluate(self.flat([[4.0]], [100.0]), np.array([100.0]))
+        assert budget.band["s0"] == 4.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ModelError):
-            integrate_budget(NoiseBudget({"a": np.array([1.0])}), [1.0, 2.0])
+    def test_one_trapezoid_equals_per_source_calls(self):
+        # one 2-D trapezoid over (K, F) rounds as K 1-D calls do
+        rng = np.random.default_rng(31)
+        freqs = np.logspace(3.0, 6.0, 201)
+        budget = evaluate(random_estimator(rng, 41, freqs), freqs)
+        for src, values in budget.terms.items():
+            assert budget.band[src] == float(np.trapezoid(values, freqs))
+        assert budget.band_total == sum(float(np.trapezoid(v, freqs))
+                                        for v in budget.terms.values())
 
-    def test_empty_sweep(self):
-        with pytest.raises(ModelError):
-            integrate_budget(NoiseBudget({"a": np.array([])}), [])
+    def test_one_point_totals_are_sequential_sums(self):
+        # at F = 1 the total adds the sources in order, as the records do
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            budget = evaluate(random_estimator(rng, 41, ONE_POINT),
+                              ONE_POINT)
+            total = 0.0
+            for values in budget.terms.values():
+                total += float(values[0])
+            assert budget.total[0] == total == budget.band_total
