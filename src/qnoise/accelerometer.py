@@ -55,8 +55,7 @@ class AccelerometerConfig:
     measurement frequency Omega, `carrier_omega` the detection carrier.
     `loop_gain` scales the servo damping in units of the mechanical damping
     (0 disables the loop).  `feedback_capacitance` defaults to the value
-    giving |Z_f| = sqrt(R_a R_r) at the carrier, which must be a positive
-    double.
+    giving |Z_f| = sqrt(R_a R_r) at the carrier, a positive double.
     """
 
     mass: float
@@ -77,8 +76,7 @@ class AccelerometerConfig:
                      "readout_impedance", "transducer_coupling",
                      "feedback_capacitance"):
             value = getattr(self, name)
-            if value is not None and not (value > 0.0
-                                          and math.isfinite(value)):
+            if value is not None and not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be positive, got {value}")
         if self.loop_gain < 0.0:
             raise DomainError("loop_gain must be >= 0")

@@ -42,11 +42,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GainStage:
-    """Phase-insensitive amplifier with complex gain |G| >= 1 and added-noise
-    line temperature `noise_temperature` (K)."""
+    """Phase-insensitive amplifier with complex gain |G| >= 1."""
 
     gain: complex
-    noise_temperature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,8 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
                      at: str = "") -> Tuple[np.ndarray, object]:
     """Rows (left, right) over lines (l, r, a, a') of the ideal op-amp with
     feedback capacitor `c_feedback`, decomposed at its matched impedance
-    r_a, and the occupation k_B Theta_a / hbar omega of its lines a, a'.
-    The first omega where that is below the 1/2 vacuum floor is rejected
-    in a message that `name` opens and `at` places."""
+    r_a, and the occupation k_B Theta_a / hbar omega of its lines a, a',
+    rejected below the 1/2 vacuum floor; `name` and `at` word the message."""
     sigma = K_B * theta_a / (HBAR * omega)
     low = np.flatnonzero(np.ravel(sigma) < 0.5)
     if low.size:

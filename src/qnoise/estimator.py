@@ -23,12 +23,11 @@ __all__ = [
 
 
 class CompiledEstimator(NamedTuple):
-    """One estimator over a grid of F frequencies: its raw readout row
+    """Estimator `label` over F frequencies: its raw readout row
     `coefficients` (K, F) on the K `sources`, the index `signal` of the
-    source whose row is the signal coefficient, the `occupations` (K, F) of
-    the sources, or (K, 1) when flat in frequency, and the unit `scale`:
-    hbar|omega| (F,) for an energy PSD, 1.0 for a force PSD.  `label`
-    names the estimator in messages."""
+    source whose row is the signal coefficient, the `occupations` (K, F),
+    or (K, 1) when flat in frequency, and the unit `scale`: hbar|omega|
+    (F,) for an energy PSD, 1.0 for a force PSD."""
 
     label: str
     sources: List[str]
@@ -59,8 +58,7 @@ class NoiseBudget(NamedTuple):
     def records(self, label: str) -> List[dict]:
         """budget.csv rows of the estimator `label`: per source its band
         integral, share of the total and dominance, then its TOTAL."""
-        total = self.band_total
-        dominant = self.dominant
+        total, dominant = self.band_total, self.dominant
         return [{"estimator": label, "source": src, "band_integrated": value,
                  "fraction_of_total": value / total if total > 0.0 else 0.0,
                  "dominant": src in dominant}
@@ -70,14 +68,15 @@ class NoiseBudget(NamedTuple):
 
 
 def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray) -> NoiseBudget:
-    """Budget of `est` over its grid `freqs_hz`.
-
-    Divides the row by the signal coefficient, naming the first frequency
-    where that is 0 and the first source and frequency where |c/s|^2 is
-    not finite, forms scale |c/s|^2 sigma, sums the sources in order into
-    the total and band-integrates every source with one trapezoid over the
-    frequency axis.
-    """
+    """Budget of `est` over its grid `freqs_hz`: divides the row by the
+    signal coefficient, naming a source name taken twice, the first
+    frequency where the signal is 0 and the first source and frequency
+    where |c/s|^2 is not finite; forms scale |c/s|^2 sigma, sums the
+    sources in order and band-integrates them in one trapezoid."""
+    twice = [src for src in est.sources if est.sources.count(src) > 1]
+    if twice:
+        raise QNoiseError(f"estimator {est.label}: two sources are named "
+                          f"{twice[0]!r}; rename the line that takes it")
     signal = est.coefficients[est.signal]
     zero = signal == 0.0
     if zero.any():
@@ -85,10 +84,11 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray) -> NoiseBudget:
             f"measure {est.label}: signal coefficient of line "
             f"{est.sources[est.signal]!r} underflows to 0 at "
             f"{freqs_hz[np.argmax(zero)]:.6g} Hz (below the smallest double)")
-    terms = np.abs(np.ascontiguousarray(est.coefficients) / signal) ** 2
-    big = ~np.isfinite(terms)
-    if big.any():
-        k, f = np.unravel_index(np.argmax(big), big.shape)
+    # in C order, so that the trapezoid sums each source as a 1-D call does
+    terms = np.abs(np.divide(est.coefficients, signal, order="C"))
+    terms **= 2
+    if not np.isfinite(terms).all():
+        k, f = np.unravel_index(np.argmin(np.isfinite(terms)), terms.shape)
         raise QNoiseError(
             f"estimator {est.label}: source {est.sources[k]} has a non-finite "
             f"noise budget (numeric overflow) at {freqs_hz[f]:.6g} Hz, where "

@@ -150,16 +150,13 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
                           f"line {measure.line!r}")
     from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
-    left = line_decls[decl.left]
-    right = line_decls[decl.right]
+    left, right = line_decls[decl.left], line_decls[decl.right]
     amplitude, sigma_amp = capacitive_opamp(
         left.resistance, right.resistance, decl.feedback_capacitance,
         decl.amp_impedance, decl.amp_temperature, omegas,
         f"op-amp {decl.name}:")
-    occupations = np.array([
-        symmetrized_occupation(omegas, left.temperature),
-        symmetrized_occupation(omegas, right.temperature),
-        sigma_amp, sigma_amp])
+    occupations = np.array([symmetrized_occupation(omegas, d.temperature)
+                            for d in (left, right)] + [sigma_amp, sigma_amp])
     row = amplitude[:, (decl.left, decl.right).index(measure.line), :].T
     return ([decl.left, decl.right, f"{decl.name}_a", f"{decl.name}_a_conj"],
             row, occupations)
@@ -253,7 +250,6 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                            for src, values in budget.terms.items())
             records.extend(budget.records(measure.label))
             if measure.line == "muscope":
-                # the kernel on the 1-point grid at the measurement frequency
                 report = model.report(measure.label)
                 records += [{"estimator": measure.label, "source": src,
                              "band_integrated": value} for src, value in (

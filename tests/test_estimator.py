@@ -74,6 +74,11 @@ class TestNormalizeEstimator:
             "measure q: signal coefficient of line 'sig' underflows to 0 at "
             "1000 Hz (below the smallest double)")
 
+    def test_source_named_twice_rejected(self):
+        est = amplifier_readout(2.0)._replace(sources=["sig", "sig"])
+        with pytest.raises(QNoiseError, match="two sources are named 'sig'"):
+            evaluate(est, ONE_POINT)
+
     def test_non_finite_coefficient_named(self):
         # the first source, then its first frequency, where |c/s|^2 is not
         # finite

@@ -137,7 +137,7 @@ def check(text, tmp_path, n):
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["run", str(netlist), "--out", str(out), "--json"])
-    except BaseException:
+    except Exception:  # an exception that escapes main is a failure
         return None, traceback.format_exc(limit=-1).strip().splitlines()[-1]
     lines = err.getvalue().splitlines()
     if code == 0:
