@@ -22,7 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .amplifier import capacitive_opamp
-from .constants import HBAR, K_B
+from .constants import K_B
 from .errors import DomainError, ModelError
 from .estimator import CompiledEstimator, NoiseBudget, evaluate
 
