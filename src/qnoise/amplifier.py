@@ -49,16 +49,16 @@ class GainStage:
 
 @dataclass(frozen=True)
 class OpAmpNoisePair:
-    """Symmetrized voltage/current noise spectra of an op-amp at one
-    frequency: sigma_uu (V^2 s), sigma_ii (A^2 s), cross sigma_ui
-    (default 0, the paper's uncorrelated working point)."""
+    """Symmetrized voltage/current noise spectra of an op-amp (numbers, or
+    arrays over a sweep): sigma_uu (V^2 s), sigma_ii (A^2 s), cross
+    sigma_ui (default 0, the paper's uncorrelated working point)."""
 
     sigma_uu: float
     sigma_ii: float
     sigma_ui: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_uu <= 0.0 or self.sigma_ii <= 0.0:
+        if np.min(self.sigma_uu) <= 0.0 or np.min(self.sigma_ii) <= 0.0:
             raise DomainError("voltage and current noise spectra must be positive")
 
 
@@ -95,10 +95,13 @@ def amplify_mode(stage: GainStage, omega: float) -> ScatteringMap:
     |G|^2 - (|G|^2 - 1) - 1 vanishes identically.
     """
     g = complex(stage.gain)
-    if abs(g) < 1.0:
-        raise DomainError(f"|G| = {abs(g):.6g} < 1: attenuation must be "
+    modulus = math.hypot(g.real, g.imag)
+    if modulus < 1.0:
+        raise DomainError(f"|G| = {modulus:.6g} < 1: attenuation must be "
                           "modeled as a passive network, not a gain stage")
-    c = np.sqrt(abs(g) ** 2 - 1.0)
+    c = np.sqrt(modulus * modulus - 1.0)
+    if not np.isfinite(c):
+        raise DomainError(f"|G|^2 overflows for G = {g}")
     amp = np.array([[g, c], [c, g]], dtype=complex)
     conj = np.array([[False, True], [True, False]])
     return ScatteringMap(amp, conj, ["a", "b"], ["a", "b"])

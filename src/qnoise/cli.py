@@ -5,8 +5,8 @@
 The front imports only the standard library and the stdlib-only netlist
 parser.  It reads the file, parses it and the `--set` overrides, and only
 then imports `qnoise.sweep`, which loads numpy and the numeric engine and
-writes the outputs; a rejected netlist never loads them.  `run`,
-`sweep_grid` and `preset_config` are re-exported from `qnoise.sweep`.
+writes the outputs; a rejected netlist never loads them.  `run` is
+re-exported from `qnoise.sweep`.
 
 Exit codes: 0 success, 1 parse error or non-UTF-8 file, 2 numeric/model
 error (including a non-finite budget cell; nothing is written then).
@@ -20,13 +20,13 @@ from .errors import QNoiseError
 from .netlist import PRESET_KEYS, NetlistParseError, parse_netlist, \
     parse_number
 
-__all__ = ["run", "main", "sweep_grid", "preset_config"]
+__all__ = ["run", "main"]
 
 
 def __getattr__(name: str):
-    if name in ("run", "sweep_grid", "preset_config"):
+    if name == "run":
         from . import sweep
-        return getattr(sweep, name)
+        return sweep.run
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

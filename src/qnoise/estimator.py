@@ -8,6 +8,7 @@ per-source decomposition scale |mu_alpha|^2 sigma_alpha of the added-noise
 spectrum.
 """
 
+import math
 from typing import Dict, List, NamedTuple
 
 import numpy as np
@@ -106,14 +107,15 @@ def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:
     """Output/input SNR ratio of an amplifier stage:
     Theta_a / (Theta_a + (1 - 1/|G|^2) Theta_b).
 
-    Equals 1/2 (the 3 dB repeater loss) for equal temperatures at large gain
-    and 1 for a noiseless (Theta_b = 0) amplifier.
+    Equals 1/2 (the 3 dB repeater loss) for equal temperatures at large gain,
+    also where |G|^2 overflows, and 1 for a noiseless (Theta_b = 0) amplifier.
     """
     if theta_a <= 0.0:
         raise DomainError("input effective temperature must be positive")
     if theta_b < 0.0:
         raise DomainError("added-noise temperature must be >= 0")
-    g2 = abs(gain) ** 2
+    modulus = math.hypot(gain.real, gain.imag)
+    g2 = modulus * modulus
     if g2 < 1.0:
         raise DomainError("|G| >= 1 required")
     return theta_a / (theta_a + (1.0 - 1.0 / g2) * theta_b)

@@ -359,7 +359,10 @@ def _gain(p: _Parser, tok: _Token, text: str, values) -> complex:
     imag = match.group("im")
     gain = complex(_parse_number(tok, match.group("re")),
                    _parse_number(tok, imag) if imag else 0.0)
-    if abs(gain) < 1.0:
+    modulus = math.hypot(gain.real, gain.imag)
+    if not math.isfinite(modulus):
+        raise _err(tok, "number out of range (|G| must be finite)")
+    if modulus < 1.0:
         raise _err(tok, "|G| must be >= 1 (model attenuation passively)")
     return gain
 

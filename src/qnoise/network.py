@@ -66,16 +66,6 @@ def reactivity_residual(z: np.ndarray) -> np.ndarray:
                      where=norm > 0.0)[()]
 
 
-@dataclass(frozen=True)
-class ModeCoefficient:
-    """One scattering entry: amplitude on the input field (conjugated=False)
-    or on its frequency-reversed conjugate (conjugated=True).  Over a sweep
-    the amplitude is an array with one value per frequency."""
-
-    amplitude: complex
-    conjugated: bool = False
-
-
 class ScatteringMap:
     """Scattering coefficients from input lines to output lines.
 
@@ -99,14 +89,13 @@ class ScatteringMap:
         if self.conjugated.shape != shape:
             raise ModelError("conjugation flags shape does not match amplitudes")
 
-    def row(self, out_label: str) -> Dict[str, ModeCoefficient]:
-        """Coefficients of one output; amplitudes are complex numbers for a
-        single-frequency map and arrays over the sweep otherwise."""
+    def row(self, out_label: str) -> "ScatteringMap":
+        """The one-row map of output `out_label`: amplitude (..., 1, n_in),
+        flags (1, n_in)."""
         i = self.out_labels.index(out_label)
-        amps = np.moveaxis(self.amplitude[..., i, :], -1, 0)
-        return {lab: ModeCoefficient(a if a.ndim else complex(a), bool(flag))
-                for lab, a, flag in zip(self.in_labels, amps,
-                                        self.conjugated[i])}
+        return ScatteringMap(self.amplitude[..., i:i + 1, :],
+                             self.conjugated[i:i + 1], [out_label],
+                             self.in_labels)
 
     def row_residuals(self) -> np.ndarray:
         """Bogoliubov residual per row: |sum_n |c|^2 - sum_c |c|^2 - 1|,
@@ -117,12 +106,10 @@ class ScatteringMap:
 
     def unitarity_defect(self) -> float:
         """max |S S^H - 1| over all frequencies for an all-normal square map."""
-        if self.conjugated.any():
-            raise ModelError("unitarity defect is defined for all-normal maps; "
-                             "use row_residuals for active maps")
         n_out, n_in = self.conjugated.shape
-        if n_out != n_in:
-            raise ModelError("unitarity defect requires a square map")
+        if self.conjugated.any() or n_out != n_in:
+            raise ModelError("unitarity defect needs a square all-normal "
+                             "map; use row_residuals for active maps")
         s = self.amplitude
         return float(np.max(np.abs(s @ np.swapaxes(s.conj(), -1, -2)
                                    - np.eye(n_out))))
@@ -137,12 +124,6 @@ class SpectrumTable:
 
     occupations: Dict[str, float]
     anomalous: Dict[Tuple[str, str], complex] = field(default_factory=dict)
-
-    def sigma(self, label: str) -> float:
-        try:
-            return self.occupations[label]
-        except KeyError:
-            raise ModelError(f"no spectrum for line {label!r}") from None
 
 
 def capacitor_impedance(value: float, omega: float) -> complex:
@@ -271,31 +252,32 @@ def _solve_rows(re_t, im_t, rows, norm, skew):
     return np.swapaxes(np.linalg.solve(system, rhs), -1, -2)
 
 
-def row_occupation(coeffs: Dict[str, ModeCoefficient],
-                   table: SpectrumTable) -> float:
-    """Occupation of one output field: sum |c|^2 sigma over referenced lines,
-    plus 2 Re(c_j conj(c_k)) m_jk for anomalously correlated (normal j,
-    conjugated k) pairs.  Conjugation does not alter the |c|^2 terms because
-    all spectra are symmetrized."""
-    total = 0.0
-    for label, coef in coeffs.items():
-        total += abs(coef.amplitude) ** 2 * table.sigma(label)
-    for (j, k), m in table.anomalous.items():
-        cj = coeffs.get(j)
-        ck = coeffs.get(k)
-        if cj is None or ck is None:
-            continue
-        if cj.conjugated == ck.conjugated:
-            continue
-        normal, conj = (cj, ck) if not cj.conjugated else (ck, cj)
-        total += 2.0 * (normal.amplitude * np.conj(conj.amplitude) * m).real
-    return float(total)
-
-
 def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTable:
-    """Propagate input occupations through a scattering map.
+    """Occupations of every output of `smap` over any leading frequency axis:
+    sum_j |S_ij|^2 sigma_j in `in_labels` order, then 2 Re(c_j conj(c_k)) m_jk
+    per anomalous pair in table order where row i is normal on one of j, k,
+    conjugated on the other.  Inputs and outputs are numbers or (F,) arrays."""
+    try:
+        sigma = np.stack(np.broadcast_arrays(
+            *(table.occupations[label] for label in smap.in_labels)), axis=-1)
+    except KeyError as exc:
+        raise ModelError(f"no spectrum for line {exc.args[0]!r}") from None
+    index = {label: n for n, label in enumerate(smap.in_labels)}
+    terms = np.abs(smap.amplitude) ** 2 * sigma[..., None, :]
+    # accumulate adds along the row in order, where sum() would pair terms
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    for (j, k), m in table.anomalous.items():
+        if j in index and k in index:
+            cj, ck = (smap.amplitude[..., index[x]] for x in (j, k))
+            fj, fk = (smap.conjugated[:, index[x]] for x in (j, k))
+            pair = 2.0 * (np.where(fj, ck, cj) * np.conj(np.where(fj, cj, ck))
+                          * np.asarray(m)[..., None]).real
+            total = total + np.where(fj != fk, pair, 0.0)
+    return SpectrumTable(dict(zip(smap.out_labels, np.moveaxis(total, -1, 0))))
 
-    Output occupation i is sum_j |S_ij|^2 sigma_j (uncorrelated inputs).
-    """
-    return SpectrumTable({lab: row_occupation(smap.row(lab), table)
-                          for lab in smap.out_labels})
+
+def row_occupation(row: ScatteringMap, table: SpectrumTable) -> float:
+    """Occupation of the output of the one-row map `row`, a float at one
+    frequency and an (F,) array over a sweep: `propagate_spectra`'s row."""
+    (occupation,) = propagate_spectra(row, table).occupations.values()
+    return occupation

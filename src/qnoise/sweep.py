@@ -33,7 +33,7 @@ from .spectra import symmetrized_occupation
 if TYPE_CHECKING:
     from .accelerometer import AccelerometerConfig
 
-__all__ = ["run", "sweep_grid", "preset_config"]
+__all__ = ["run"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
 
@@ -207,7 +207,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         raise QNoiseError("--set overrides require a preset in the netlist")
 
     measures = list(doc.measures)
-    config = None
+    config = model = None
     if doc.preset is not None:
         config = preset_config(doc.preset, overrides)
         if not any(m.line == "muscope" for m in measures):
@@ -235,7 +235,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         for measure in measures:
             if measure.line == "muscope":
                 from .accelerometer import build_accelerometer
-                model = build_accelerometer(config)
+                model = model or build_accelerometer(config)  # built once
                 est = model.estimator(omegas, measure.label)
             elif measure.line in opamp_by_line:
                 est = _field_estimator(doc, measure, *_opamp_rows(

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from qnoise.accelerometer import MUSCOPE, sensitivity_report
-from qnoise.cli import main, preset_config, run, sweep_grid
+from qnoise.cli import main, run
 from qnoise.constants import HBAR
 from qnoise.netlist import PresetDecl, SweepDecl, parse_netlist
+from qnoise.sweep import preset_config, sweep_grid
 
 ROOT = Path(__file__).parents[1]
 DOCS = ROOT / "docs"
@@ -93,9 +94,17 @@ class TestRun:
         assert sff == pytest.approx(report.sigma_ff, rel=1e-9)
         assert asd == pytest.approx(1.2e-12, rel=0.05)
 
-    def test_muscope_builds_its_model_once(self, tmp_path, monkeypatch):
-        # the report rows come from the model that was swept, not a rebuild;
-        # qnoise.sweep imports build_accelerometer from its module per run
+    @pytest.mark.parametrize("netlist", [
+        (DOCS / "muscope.qn").read_text(),
+        "preset muscope\nsweep 1e-4 1e-3 3 log\n"
+        "measure muscope as f1 signal=force\n"
+        "measure muscope as f2 signal=force\n",
+    ], ids=["docs", "two_measures"])
+    def test_muscope_builds_its_model_once(self, netlist, tmp_path,
+                                           monkeypatch):
+        # the report rows come from the model that was swept, not a rebuild,
+        # and every muscope measure shares it; qnoise.sweep imports
+        # build_accelerometer from its module per run
         import qnoise.accelerometer
         build = qnoise.accelerometer.build_accelerometer
         calls = []
@@ -105,7 +114,7 @@ class TestRun:
             return build(config)
         monkeypatch.setattr(qnoise.accelerometer, "build_accelerometer",
                             counted)
-        run(parse_netlist((DOCS / "muscope.qn").read_text()), str(tmp_path))
+        run(parse_netlist(netlist), str(tmp_path))
         assert len(calls) == 1
 
     def test_budget_fractions_sum_to_one(self, tmp_path):
@@ -359,8 +368,6 @@ class TestFrontLoadsNoNumpy:
     def test_driver_names_come_from_sweep(self):
         out = fresh_python(
             "import qnoise.sweep as sweep\n"
-            "from qnoise.cli import main, preset_config, run, sweep_grid\n"
-            "print(run is sweep.run, sweep_grid is sweep.sweep_grid,\n"
-            "      preset_config is sweep.preset_config,\n"
-            "      main.__module__)\n")
-        assert out == "True True True qnoise.cli\n"
+            "from qnoise.cli import main, run\n"
+            "print(run is sweep.run, main.__module__)\n")
+        assert out == "True qnoise.cli\n"

@@ -193,6 +193,12 @@ class TestSnrDegradation:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
 
+    @pytest.mark.parametrize("gain", [1e200, 1.7e308 + 1.7e308j])
+    def test_gain_whose_square_overflows_is_the_limit(self, gain):
+        # |G|^2 = inf: Theta_a / (Theta_a + Theta_b)
+        assert snr_degradation(1.0, 1.0, gain) == 0.5
+        assert snr_degradation(1.0, 3.0, gain) == 0.25
+
     def test_monotone_in_gain(self):
         values = [snr_degradation(1.0, 1.0, g) for g in (1.0, 1.5, 2.0, 1e3)]
         assert all(b < a for a, b in zip(values, values[1:]))

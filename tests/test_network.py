@@ -9,6 +9,7 @@ from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
                             inductor_impedance,
                             propagate_spectra, reactivity_residual,
                             scattering_from_impedance, stamp_solver)
+from qnoise.spectra import symmetrized_occupation
 
 
 def random_reactive(rng, dim):
@@ -123,15 +124,35 @@ class TestFrequencyStack:
     def test_methods_keep_the_frequency_axis(self):
         smap = scattering_from_impedance(self.stack(self.OMEGAS), self.LINES)
         row = smap.row("p1")
-        assert row["p0"].amplitude.shape == (7,)
-        assert not row["p0"].conjugated
+        assert row.amplitude.shape == (7, 1, 2)
+        assert row.out_labels == ["p1"] and not row.conjugated.any()
         assert smap.row_residuals().shape == (7, 2)
         assert smap.row_residuals().max() < 1e-12
         assert smap.unitarity_defect() < 1e-12
 
-    def test_single_frequency_row_is_complex(self):
+    def test_single_frequency_row_is_one_row_map(self):
         smap = scattering_from_impedance(self.stack(1e5), self.LINES)
-        assert type(smap.row("p0")["p1"].amplitude) is complex
+        row = smap.row("p0")
+        assert row.amplitude.shape == row.conjugated.shape == (1, 2)
+        assert (row.out_labels, row.in_labels) == (["p0"], ["p0", "p1"])
+        assert (row.amplitude[0] == smap.amplitude[0]).all()
+
+    def test_propagation_over_stack_equals_slices(self):
+        # one call over the stack, bit for bit the calls on each slice
+        smap = scattering_from_impedance(self.stack(self.OMEGAS), self.LINES)
+        sigmas = {line.label: symmetrized_occupation(self.OMEGAS,
+                                                     line.temperature)
+                  for line in self.LINES}
+        out = propagate_spectra(smap, SpectrumTable(sigmas)).occupations
+        assert all(value.shape == (7,) for value in out.values())
+        for k in range(len(self.OMEGAS)):
+            one = ScatteringMap(smap.amplitude[k], smap.conjugated,
+                                smap.out_labels, smap.in_labels)
+            single = propagate_spectra(one, SpectrumTable(
+                {label: s[k] for label, s in sigmas.items()})).occupations
+            for label, value in single.items():
+                assert isinstance(value, float)
+                assert value == out[label][k]
 
     def test_reactivity_checked_at_every_frequency(self):
         z = self.stack(self.OMEGAS)
@@ -244,8 +265,19 @@ class TestPropagation:
 
     def test_missing_line_rejected(self):
         smap = ScatteringMap(np.eye(1), np.zeros((1, 1), bool), ["a"], ["a"])
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="no spectrum for line 'a'"):
             propagate_spectra(smap, SpectrumTable({"b": 0.5}))
+
+    def test_anomalous_pair_counts_where_normal_meets_conjugated(self):
+        # row x is normal on a, conjugated on b; row y normal on both
+        smap = ScatteringMap(np.array([[2.0, 3.0], [0.5, 0.25]]),
+                             np.array([[False, True], [False, False]]),
+                             ["x", "y"], ["a", "b"])
+        table = SpectrumTable({"a": 1.0, "b": 2.0},
+                              anomalous={("b", "a"): 0.5, ("a", "z"): 9.0})
+        out = propagate_spectra(smap, table).occupations
+        assert out["x"] == 4.0 + 18.0 + 2.0 * 2.0 * 3.0 * 0.5
+        assert out["y"] == 0.25 + 0.125
 
 
 class TestStampSolver:
