@@ -177,20 +177,21 @@ class AccelerometerModel:
     def detection_velocity_psd(self) -> float:
         """Velocity-equivalent PSD of the detection noise (m/s)^2 per the
         two-sided convention; this is what the servo feeds back."""
-        return float(sum(abs(c) ** 2 * self.occupations[lab]
+        return float(sum((c * c.conjugate()).real * self.occupations[lab]
                          for lab, c in self.detection_coefficients.items()))
 
     def loop_force_noise_psd(self) -> float:
         """Force PSD injected by the servo, H_loop^2 times the detection
         velocity noise.  Cold damping: far below 2 H_loop k_B Theta_m."""
-        return self.loop_damping ** 2 * self.detection_velocity_psd()
+        h = self.loop_damping
+        return h * h * self.detection_velocity_psd()
 
     def loop_effective_temperature(self) -> float:
         """Temperature whose Langevin noise at damping H_loop would match
         the loop-injected noise; the cold-damping temperature."""
         if self.loop_damping == 0.0:
             return 0.0
-        return self.loop_force_noise_psd() / (2.0 * self.loop_damping * K_B)
+        return self.loop_damping * self.detection_velocity_psd() / (2.0 * K_B)
 
     def report(self, label: str = "force") -> SensitivityReport:
         """Noise budget and acceleration sensitivity sqrt(Sigma_FF)/M at the

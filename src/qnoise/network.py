@@ -56,16 +56,6 @@ class NoiseLine:
             raise DomainError(f"line {self.label!r}: temperature must be >= 0")
 
 
-def reactivity_residual(z: np.ndarray) -> np.ndarray:
-    """Relative anti-Hermiticity residual ||Z + Z^H|| / ||Z|| (0 for Z = 0)
-    of an impedance matrix, or of each matrix in a (..., n, n) stack."""
-    z = np.asarray(z, dtype=complex)
-    norm = np.linalg.norm(z, axis=(-2, -1))
-    defect = np.linalg.norm(z + np.swapaxes(z.conj(), -1, -2), axis=(-2, -1))
-    return np.divide(defect, norm, out=np.zeros_like(norm),
-                     where=norm > 0.0)[()]
-
-
 class ScatteringMap:
     """Scattering coefficients from input lines to output lines.
 
@@ -169,19 +159,14 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
 
     `z_matrix` is one (n, n) matrix or a (..., n, n) stack over frequency;
     `outputs` names the rows of S to solve for (line labels, default all).
-    Every Z must be anti-Hermitian within TOL_REACTIVE and cond(z + 1) at
-    most COND_LIMIT.
+    Every z must be anti-Hermitian to ||z + z^H|| <= TOL_REACTIVE ||z|| (S
+    is unitary exactly then) and cond(z + 1) at most COND_LIMIT.
     """
     z_matrix = np.asarray(z_matrix, dtype=complex)
     n = len(lines)
     if z_matrix.shape[-2:] != (n, n):
         raise ModelError(f"impedance matrix is {z_matrix.shape}, "
                          f"but {n} lines were given")
-    residual = np.max(reactivity_residual(z_matrix), initial=0.0)
-    if residual > TOL_REACTIVE:
-        raise ModelError(f"impedance matrix is not reactive: "
-                         f"anti-Hermiticity residual {residual:.3e} "
-                         f"exceeds {TOL_REACTIVE:.0e}")
     labels = [line.label for line in lines]
     outputs = labels if outputs is None else list(outputs)
     if not set(outputs) <= set(labels):
@@ -189,9 +174,16 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
     z = r_sqrt_inv[:, None] * z_matrix * r_sqrt_inv
     z_t = np.swapaxes(z, -1, -2)
+    norm = np.linalg.norm(z, axis=(-2, -1))
+    skew = np.linalg.norm(z + z_t.conj(), axis=(-2, -1))
+    residual = np.max(np.divide(skew, norm, out=np.zeros_like(norm),
+                                where=norm > 0.0), initial=0.0)
+    if residual > TOL_REACTIVE:
+        raise ModelError(f"impedance matrix is not reactive: "
+                         f"anti-Hermiticity residual {residual:.3e} "
+                         f"exceeds {TOL_REACTIVE:.0e}")
     rows = [labels.index(label) for label in outputs]
-    s = _solve_rows(z_t.real, z_t.imag, rows, np.linalg.norm(z, axis=(-2, -1)),
-                    np.linalg.norm(z + z_t.conj(), axis=(-2, -1)))
+    s = _solve_rows(z_t.real, z_t.imag, rows, norm, skew)
     return ScatteringMap(s, np.zeros((len(rows), n), dtype=bool), outputs,
                          labels)
 

@@ -34,8 +34,7 @@ def symmetrized_occupation(omega, temperature):
     t = np.asarray(temperature, dtype=float)
     x = np.where(t > 0.0, HBAR * omega / (2.0 * K_B * np.where(t > 0.0, t, 1.0)),
                  np.inf)
-    sigma = 0.5 / np.tanh(np.minimum(x, 700.0))
-    sigma = np.where(x > 700.0, 0.5, sigma)
+    sigma = 0.5 / np.tanh(x)
     if sigma.ndim == 0:
         return float(sigma)
     return sigma

@@ -76,41 +76,63 @@ def preset_config(preset: PresetDecl,
     return dataclasses.replace(MUSCOPE, **kwargs)
 
 
+def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
+                     opamp_by_line: Dict[str, OpAmpDecl]):
+    """Reject, on declared line names, before any numerics: a gain on a
+    line that none of the field `measures` reads; a measure whose signal
+    line is outside its line's subnetwork (its op-amp's two lines, or the
+    lines outside every op-amp), is the right line of the op-amp read on
+    its left, or shares no cap or ind path with its line; a cap or ind on
+    an op-amp's line, which the parser lets through before the op-amp."""
+    measured = {m.line for m in measures}
+    for g in doc.gains:
+        if g.input_line not in measured:
+            raise QNoiseError(f"gain {g.name}: no measure reads its line "
+                              f"{g.input_line!r}, so it has no effect")
+    joined = {d.name: {d.name} for d in doc.lines}  # by cap and ind paths
+    for elem in doc.caps + doc.inds:
+        if "gnd" not in elem.ports:
+            both = joined[elem.ports[0]] | joined[elem.ports[1]]
+            joined.update(dict.fromkeys(both, both))
+    for m in measures:
+        opamp = opamp_by_line.get(m.line)
+        if opamp_by_line.get(m.signal) is not opamp:
+            raise QNoiseError(f"measure {m.label}: signal line {m.signal!r} "
+                              f"is outside the subnetwork of line {m.line!r}")
+        if opamp and (m.line, m.signal) == (opamp.left, opamp.right):
+            raise QNoiseError(f"measure {m.label}: signal line {m.signal!r} "
+                              f"is the right line of op-amp {opamp.name!r}, "
+                              "which passes nothing to its left line "
+                              f"{m.line!r}")
+        if opamp is None and m.signal not in joined[m.line]:
+            raise QNoiseError(f"measure {m.label}: signal line {m.signal!r} "
+                              f"shares no cap or ind path with line "
+                              f"{m.line!r}")
+    for elem in doc.caps + doc.inds:
+        for port in elem.ports:
+            if port in opamp_by_line:
+                raise QNoiseError(f"{elem.name}: port line {port!r} terminates "
+                                  f"op-amp {opamp_by_line[port].name!r} and is "
+                                  "outside the passive network")
+
+
 def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
-                  omegas: np.ndarray) -> Dict[str, Tuple]:
+                  omegas: np.ndarray,
+                  opamp_by_line: Dict[str, OpAmpDecl]) -> Dict[str, Tuple]:
     """Readout rows of the passive network (every line outside an op-amp)
     for the lines of `measures`: per measured line, the line labels, its
     row (n, F) over them and their occupations (n, F).
 
     The network is solved once for all passive measures, in frequency
-    blocks of BLOCK_ENTRIES impedance-matrix entries each.  A measure whose
-    signal line no cap or ind path joins to its line is rejected before the
-    solve.
+    blocks of BLOCK_ENTRIES impedance-matrix entries each.
     """
-    opamp_of = {line: d.name for d in doc.opamps for line in (d.left, d.right)}
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
-             for d in doc.lines if d.name not in opamp_of]
+             for d in doc.lines if d.name not in opamp_by_line]
     index = {line.label: i for i, line in enumerate(lines)}
     ports = {}  # element name -> matrix indices of its ports, gnd is -1
-    component = list(range(len(lines)))  # of each line, joined by caps/inds
     for elem in doc.caps + doc.inds:
-        # the parser lets a cap or ind reach a line a later op-amp terminates
-        outside = [port for port in elem.ports if port in opamp_of]
-        if outside:
-            raise QNoiseError(f"{elem.name}: port line {outside[0]!r} "
-                              f"terminates op-amp {opamp_of[outside[0]]!r} and "
-                              "is outside the passive network")
         i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
         ports[elem.name] = (j, -1) if i < 0 else (i, j)
-        if i >= 0 and j >= 0:
-            old = component[i]
-            component = [component[j] if c == old else c for c in component]
-    for m in measures:
-        if m.signal in index and \
-                component[index[m.signal]] != component[index[m.line]]:
-            raise QNoiseError(f"measure {m.label}: signal line {m.signal!r} "
-                              f"shares no cap or ind path with line "
-                              f"{m.line!r}")
     measured = sorted({m.line for m in measures})
     # an element whose own reactance 1/(w C) or w L overflows is named
     react = np.multiply.outer(omegas, [e.capacitance for e in doc.caps]
@@ -143,11 +165,6 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
                 measure: MeasureDecl, omegas: np.ndarray) -> Tuple:
     """The labels of an op-amp's lines and noise pair, the row (4, F) of
     the measured line over them, and their occupations (4, F)."""
-    if (measure.line, measure.signal) == (decl.left, decl.right):
-        raise QNoiseError(f"measure {measure.label}: signal line "
-                          f"{measure.signal!r} is the right line of op-amp "
-                          f"{decl.name!r}, which passes nothing to its left "
-                          f"line {measure.line!r}")
     from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
     left, right = line_decls[decl.left], line_decls[decl.right]
@@ -179,10 +196,6 @@ def _field_estimator(doc: NetlistDocument, measure: MeasureDecl,
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
         occupations = np.vstack([occupations, symmetrized_occupation(
             omegas, g.noise_temperature)])
-    if measure.signal not in sources:
-        raise QNoiseError(f"measure {measure.label}: signal line "
-                          f"{measure.signal!r} is outside the subnetwork of "
-                          f"line {measure.line!r}")
     return CompiledEstimator(measure.label, sources, row,
                              sources.index(measure.signal), occupations,
                              HBAR * np.abs(omegas))
@@ -215,15 +228,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                 raise QNoiseError("measure label 'force' is taken by the "
                                   "estimator the muscope preset adds")
             measures.append(MeasureDecl("muscope", "force", "force"))
-    measured = {m.line for m in measures}
-    for g in doc.gains:
-        if g.input_line not in measured:
-            raise QNoiseError(f"gain {g.name}: no measure reads its line "
-                              f"{g.input_line!r}, so it has no effect")
-
+    fields = [m for m in measures if m.line != "muscope"]
     opamp_by_line = {line: d for d in doc.opamps for line in (d.left, d.right)}
-    passive = [m for m in measures
-               if m.line != "muscope" and m.line not in opamp_by_line]
+    _check_structure(doc, fields, opamp_by_line)
+    passive = [m for m in fields if m.line not in opamp_by_line]
 
     omegas = 2.0 * math.pi * freqs_hz
     spectra = []  # (estimator, column, values over the sweep)
@@ -231,7 +239,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     # overflow turns into inf/nan here, which is rejected below by name
     with np.errstate(all="ignore"):
         if passive:
-            rows = _passive_rows(doc, passive, omegas)
+            rows = _passive_rows(doc, passive, omegas, opamp_by_line)
         for measure in measures:
             if measure.line == "muscope":
                 from .accelerometer import build_accelerometer

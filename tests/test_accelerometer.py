@@ -144,6 +144,30 @@ class TestColdDamping:
         assert model.loop_force_noise_psd() == 0.0
         assert model.loop_effective_temperature() == 0.0
 
+    def test_effective_temperature_is_loop_noise_over_langevin(self):
+        model = build_accelerometer(MUSCOPE)
+        assert model.loop_effective_temperature() == pytest.approx(
+            model.loop_force_noise_psd() / (2.0 * model.loop_damping * K_B),
+            rel=1e-14)
+
+    @pytest.mark.parametrize("coupling", [1e-300, 6e-309])
+    def test_weak_coupling_loop_noise_is_inf(self, coupling):
+        # |c|^2 of the detection coefficients is past the double range
+        model = build_accelerometer(
+            replace(MUSCOPE, transducer_coupling=coupling))
+        assert model.detection_velocity_psd() == math.inf
+        assert model.loop_force_noise_psd() == math.inf
+        assert model.loop_effective_temperature() == math.inf
+
+    def test_strong_loop_noise_is_inf(self):
+        # H_loop^2 is past the double range; the temperature never forms it
+        model = build_accelerometer(
+            replace(MUSCOPE, loop_gain=1e190, mech_damping=1e10))
+        assert model.loop_force_noise_psd() == math.inf
+        theta = model.loop_effective_temperature()
+        assert theta == pytest.approx(
+            1e200 * model.detection_velocity_psd() / (2.0 * K_B), rel=1e-14)
+
     def test_loop_noise_scales_with_gain_squared(self):
         low = build_accelerometer(replace(MUSCOPE, loop_gain=1e3))
         high = build_accelerometer(replace(MUSCOPE, loop_gain=1e4))

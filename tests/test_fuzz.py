@@ -4,8 +4,11 @@ outputs, or in one `qnoise:` line on stderr.
 A seeded `random.Random` writes grammar-valid netlist text: 1-5 lines with
 caps and inds between them or to `gnd`, an optional op-amp, real and
 complex gains and lin or log sweeps; or the `muscope` preset with one
-override.  Values come from the usual decades of each quantity or, for
-one value in eight, from anywhere in 1e-300..1e300.  Each netlist goes
+override.  Now and then a cap or ind reaches an op-amp line (declared
+before the op-amp), and a line takes the name of a noise line that the
+run adds (`u0_a`, `u0_a_conj`, `g0_b`, `g1_b`).  Values come from the
+usual decades of each quantity or, for one value in eight, from anywhere
+in 1e-300..1e300.  Each netlist goes
 through `qnoise.cli.main` with RuntimeWarnings as errors (pyproject.toml),
 and the test asserts:
 - no exception escapes;
@@ -38,6 +41,8 @@ PRESET_DECADES = {"mass": (-2, 1), "mech_damping": (-7, -3),
                   "bath_temperature": (0, 3), "readout_impedance": (4, 7),
                   "loop_gain": (0, 6), "transducer_coupling": (11, 15),
                   "feedback_capacitance": (-14, -10)}
+#: names of the noise lines that the run adds for op-amp u0 and gains g0, g1
+NOISE_LINE_NAMES = ["u0_a", "u0_a_conj", "g0_b", "g1_b"]
 
 
 def number(rng, decades):
@@ -49,6 +54,8 @@ def number(rng, decades):
 def passive_netlist(rng):
     n = rng.randint(1, 5)
     lines = [f"l{i}" for i in range(n)]
+    if rng.random() < 0.2:  # a line named like a noise source of the run
+        lines[rng.randrange(n)] = rng.choice(NOISE_LINE_NAMES)
     text = [f"line {name} R={number(rng, DECADES['R'])} "
             f"T={rng.choice(['0', number(rng, DECADES['T'])])}"
             for name in lines]
@@ -58,7 +65,8 @@ def passive_netlist(rng):
     free = [name for name in lines if not opamp or name not in opamp]
     for k in range(rng.randint(0, 4) if free else 0):
         kind, key, unit = rng.choice([("cap", "C", "C"), ("ind", "L", "L")])
-        a = rng.choice(free)
+        # now and then on an op-amp line, declared before the op-amp
+        a = rng.choice(opamp if opamp and rng.random() < 0.25 else free)
         b = rng.choice([name for name in free if name != a] + ["gnd"])
         ports = (a, b) if rng.random() < 0.5 else (b, a)
         text.append(f"{kind} {kind[0]}{k} {key}={number(rng, DECADES[unit])} "

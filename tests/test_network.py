@@ -7,8 +7,8 @@ from qnoise.errors import DomainError, ModelError
 from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
                             capacitor_impedance, impedance_matrix,
                             inductor_impedance,
-                            propagate_spectra, reactivity_residual,
-                            scattering_from_impedance, stamp_solver)
+                            propagate_spectra, scattering_from_impedance,
+                            stamp_solver)
 from qnoise.spectra import symmetrized_occupation
 
 
@@ -56,7 +56,7 @@ class TestReactiveElements:
     def test_laplacian_stamp_is_reactive(self):
         z = impedance_matrix(3, [(1j * 5.0, 0, 1), (-1j * 2.0, 2, -1),
                                  (1j * 7.0, 1, 2)])
-        assert reactivity_residual(z) < 1e-15
+        assert not (z + z.conj().T).any()
 
 
 class TestScatteringFromImpedance:
@@ -346,7 +346,6 @@ class TestStampSolver:
             stamp_solver(a, skew, lines, ["l0"])
 
     def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
-        from qnoise import network
         from qnoise.cli import main
 
         def refuse(*args, **kwargs):
@@ -358,7 +357,6 @@ class TestStampSolver:
             return real_norm(x, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "cond", refuse)
         monkeypatch.setattr(np.linalg, "norm", real_only)
-        monkeypatch.setattr(network, "reactivity_residual", refuse)
         n = 40
         text = "".join(f"line l{i} R=50 T={i + 1}\n" for i in range(n))
         text += "".join(f"cap c{i} C=1n ports=(l{i},l{i + 1})\n"

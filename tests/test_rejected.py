@@ -45,6 +45,29 @@ def test_rejected_with_one_line(path, tmp_path, capsys):
         assert (info.value.line, info.value.column) == (line, col)
 
 
+#: fixtures whose netlist breaks a structural rule of the run
+STRUCTURAL = ["passive_element_between_opamp_lines",
+              "passive_element_on_opamp_line", "passive_signal_on_opamp_line",
+              "signal_in_other_component", "opamp_signal_blocked",
+              "gain_on_unmeasured_line", "opamp_line_cap_with_opamp_measure",
+              "opamp_signal_named_like_noise_line"]
+
+
+@pytest.mark.parametrize("name", STRUCTURAL)
+def test_structure_checked_before_numerics(name, tmp_path, capsys,
+                                           monkeypatch):
+    # the passive solve and the op-amp assembly must never be reached
+    def numerics(*args, **kwargs):
+        raise AssertionError("numerics reached before the structural check")
+    monkeypatch.setattr("qnoise.sweep.stamp_solver", numerics)
+    monkeypatch.setattr("qnoise.amplifier.capacitive_opamp", numerics)
+    path = DATA / "rejected" / f"{name}.qn"
+    message = re.match(r"# expect exit=2 (.+)\n", path.read_text()).group(1)
+    code, err = run_cli(path, tmp_path, capsys)
+    assert code == 2
+    assert message in err
+
+
 def test_opamp_signal_outside_subnetwork(tmp_path, capsys):
     # parses (criterion 10 needs it to) but its op-amp measure names a
     # signal line outside the op-amp
