@@ -17,7 +17,7 @@ outputs calibrated by that parameter, not measured ground truth.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -147,6 +147,11 @@ class AccelerometerModel:
     def loop_damping(self) -> float:
         return self.config.loop_gain * self.config.mech_damping
 
+    @property
+    def sources(self) -> List[str]:
+        """The force estimator's sources, its signal first."""
+        return [MECH, *self.detection_coefficients]
+
     def estimator(self, omegas: np.ndarray,
                   label: str = "force") -> CompiledEstimator:
         """Force estimator over the measurement frequencies `omegas`.
@@ -159,7 +164,7 @@ class AccelerometerModel:
         """
         z_m = self.config.mech_damping - 1j * omegas * self.config.mass
         z_t = z_m + self.loop_damping
-        sources = [MECH, *self.detection_coefficients]
+        sources = self.sources
         return CompiledEstimator(
             label, sources, np.array([1.0 / z_t] + [
                 z_m * c / z_t for c in self.detection_coefficients.values()]),

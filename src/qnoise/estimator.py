@@ -9,7 +9,7 @@ spectrum.
 """
 
 import math
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,14 +68,17 @@ class NoiseBudget(NamedTuple):
              "fraction_of_total": 1.0, "dominant": False}]
 
 
-def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray) -> NoiseBudget:
+def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
+             before: Optional[NoiseBudget] = None) -> NoiseBudget:
     """Budget of `est` over its grid `freqs_hz`: divides the row by the
     signal coefficient, naming a source name taken twice, the first
     frequency where the signal is 0 and the first source and frequency
     where |c/s|^2 is not finite; forms scale |c/s|^2 sigma, sums the
-    sources in order and band-integrates them in one trapezoid."""
-    twice = [src for src in est.sources if est.sources.count(src) > 1]
-    if twice:
+    sources in order and band-integrates them in one trapezoid, added to
+    the band of `before`, the budget of a sweep walked in windows up to
+    freqs_hz[0]."""
+    if len(set(est.sources)) < len(est.sources):
+        twice = [src for src in est.sources if est.sources.count(src) > 1]
         raise QNoiseError(f"estimator {est.label}: two sources are named "
                           f"{twice[0]!r}; rename the line that takes it")
     signal = est.coefficients[est.signal]
@@ -98,8 +101,12 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray) -> NoiseBudget:
     terms *= est.scale
     band = (terms[:, 0] if len(freqs_hz) == 1 else
             np.trapezoid(terms, freqs_hz, axis=-1)).tolist()
-    # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
-    return NoiseBudget(dict(zip(est.sources, terms)), sum(terms),
+    if before is not None:
+        band = [a + b for a, b in zip(before.band.values(), band)]
+    # the sources are added in order: by terms.sum(0) over F > 1 points,
+    # which at F = 1 sums pairwise, so there by sum()
+    total = terms.sum(0) if len(freqs_hz) > 1 else sum(terms)
+    return NoiseBudget(dict(zip(est.sources, terms)), total,
                        dict(zip(est.sources, band)), sum(band))
 
 

@@ -226,13 +226,7 @@ class _Parser:
         return name
 
     def require_port(self, tok: _Token, name: str) -> str:
-        if name == "gnd":
-            return name
-        self.require_line(tok, name)
-        if name in self.opamp_lines:
-            raise _err(tok, f"line {name!r} already terminates op-amp "
-                            f"{self.opamp_lines[name]!r}")
-        return name
+        return name if name == "gnd" else self.require_line(tok, name)
 
     def parse_decl(self, tokens: List[_Token]):
         """One declaration: its keyword, then the fields `_GRAMMAR` lists
@@ -339,6 +333,9 @@ def _opamp_line(p: _Parser, tok: _Token, text: str, values) -> str:
     p.require_port(tok, text)
     if text == "gnd":
         raise _err(tok, "op-amp ports must be lines")
+    if text in p.opamp_lines:
+        raise _err(tok, f"line {text!r} already terminates op-amp "
+                        f"{p.opamp_lines[text]!r}")
     if len(values) == 2:  # the right line: both lines are checked now
         if text == values[1]:
             raise _err(tok, "left and right lines must differ")

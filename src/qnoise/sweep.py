@@ -6,13 +6,17 @@ spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
 occupation budget); the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` solves the passive network once for all its measures, compiles
-each measure into one `CompiledEstimator` over the whole sweep and
-evaluates it with `qnoise.estimator.evaluate`.  A budget that would contain
-a non-finite cell raises QNoiseError and nothing is written.  The preset
-and op-amp models and json load only where a run uses them.
+`run` stamps the passive network once, then walks the sweep in windows of
+frequencies: per window it solves the passive rows of all its measures,
+compiles each measure into a `CompiledEstimator`, evaluates it with
+`qnoise.estimator.evaluate`, which carries the band integrals from window
+to window, checks the cells and appends the spectra.csv rows.  The outputs
+go to temporaries renamed over them at the end: a budget that would
+contain a non-finite cell raises QNoiseError and nothing is written.  The
+preset and op-amp models and json load only where a run uses them.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -37,9 +41,9 @@ __all__ = ["run"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
 
-#: bound on temporaries: matrix entries per impedance stack in the passive
-#: solve (BLOCK_ENTRIES // n^2 frequencies; a whole 500-point sweep of 40
-#: lines is 12.8 MB per stack), and 8 x cells per piece of spectra.csv text
+#: bound on temporaries: spectra.csv cells, or passive row entries, per
+#: window of the sweep; matrix entries per impedance stack in the passive
+#: solve (BLOCK_ENTRIES // n^2 frequencies); 8 x cells per piece of text
 BLOCK_ENTRIES = 2 ** 14
 
 
@@ -83,7 +87,8 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
     line is outside its line's subnetwork (its op-amp's two lines, or the
     lines outside every op-amp), is the right line of the op-amp read on
     its left, or shares no cap or ind path with its line; a cap or ind on
-    an op-amp's line, which the parser lets through before the op-amp."""
+    an op-amp's line; an op-amp that no measure reads; and lines outside
+    every op-amp when no measure reads one."""
     measured = {m.line for m in measures}
     for g in doc.gains:
         if g.input_line not in measured:
@@ -114,57 +119,81 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
                 raise QNoiseError(f"{elem.name}: port line {port!r} terminates "
                                   f"op-amp {opamp_by_line[port].name!r} and is "
                                   "outside the passive network")
+    read = {opamp_by_line.get(m.line) for m in measures}  # None: passive
+    for opamp in doc.opamps:
+        if opamp not in read:
+            raise QNoiseError(f"op-amp {opamp.name}: no measure reads its "
+                              f"lines {opamp.left!r} and {opamp.right!r}, so "
+                              "it has no effect")
+    passive = [d.name for d in doc.lines if d.name not in opamp_by_line]
+    if passive and None not in read:
+        raise QNoiseError(f"line {passive[0]}: no measure reads it or "
+                          "another line outside the op-amps, so it has no "
+                          "effect")
 
 
 def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
-                  omegas: np.ndarray,
-                  opamp_by_line: Dict[str, OpAmpDecl]) -> Dict[str, Tuple]:
-    """Readout rows of the passive network (every line outside an op-amp)
-    for the lines of `measures`: per measured line, the line labels, its
-    row (n, F) over them and their occupations (n, F).
-
-    The network is solved once for all passive measures, in frequency
-    blocks of BLOCK_ENTRIES impedance-matrix entries each.
-    """
+                  freqs_hz: np.ndarray, opamp_by_line: Dict[str, OpAmpDecl]):
+    """The line labels of the passive network (every line outside an
+    op-amp) and `rows(start, stop)`, which gives per line of `measures` its
+    row (n, F) over them and their occupations (n, F) on
+    freqs_hz[start:stop], for windows taken in sweep order.  The network is
+    stamped and checked once and solved for all passive measures in the
+    sweep's fixed blocks of BLOCK_ENTRIES impedance-matrix entries."""
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_by_line]
     index = {line.label: i for i, line in enumerate(lines)}
+    caps, inds = doc.caps, doc.inds
     ports = {}  # element name -> matrix indices of its ports, gnd is -1
-    for elem in doc.caps + doc.inds:
+    for elem in caps + inds:
         i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
         ports[elem.name] = (j, -1) if i < 0 else (i, j)
     measured = sorted({m.line for m in measures})
-    # an element whose own reactance 1/(w C) or w L overflows is named
-    react = np.multiply.outer(omegas, [e.capacitance for e in doc.caps]
-                              + [e.inductance for e in doc.inds])
-    react[:, :len(doc.caps)] **= -1.0
-    if not np.isfinite(react).all():
-        f, k = np.unravel_index(np.argmax(~np.isfinite(react)), react.shape)
-        raise QNoiseError(f"{'cap' if k < len(doc.caps) else 'ind'} "
-                          f"{(doc.caps + doc.inds)[k].name}: its reactance "
-                          f"overflows at {omegas[f] / (2.0 * math.pi):.6g} Hz")
     # Z(w) = A / w + w B, stamped and checked once for the whole sweep
     a = impedance_matrix(len(lines), [
         (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
-        for cap in doc.caps])
+        for cap in caps])
     b = impedance_matrix(len(lines), [
         (inductor_impedance(ind.inductance, 1.0), *ports[ind.name])
-        for ind in doc.inds])
+        for ind in inds])
     solve = stamp_solver(a, b, lines, measured)
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
-    amplitude = np.concatenate([
-        solve(omegas[start:start + block, None, None])
-        for start in range(0, len(omegas), block)])
-    occupations = np.array([symmetrized_occupation(omegas, line.temperature)
-                            for line in lines])
-    return {line: (list(index), amplitude[:, k, :].T, occupations)
-            for k, line in enumerate(measured)}
+    temperatures = np.array([[line.temperature] for line in lines])
+    kept = np.empty((0, len(measured), len(lines)), complex)
+    first = 0  # kept holds the solved rows from freqs_hz[first]
+
+    def rows(start: int, stop: int) -> Dict[str, Tuple]:
+        nonlocal kept, first
+        end = first + len(kept)  # then the whole blocks that reach stop
+        omegas = 2.0 * math.pi * freqs_hz[end:end + -(-(stop - end) // block)
+                                          * block]
+        # an element whose own reactance 1/(w C) or w L overflows is named
+        react = np.multiply.outer(omegas, [e.capacitance for e in caps]
+                                  + [e.inductance for e in inds])
+        react[:, :len(caps)] **= -1.0
+        if not np.isfinite(react).all():
+            f, k = np.unravel_index(np.argmax(~np.isfinite(react)),
+                                    react.shape)
+            raise QNoiseError(
+                f"{'cap' if k < len(caps) else 'ind'} {(caps + inds)[k].name}"
+                f": its reactance overflows at "
+                f"{omegas[f] / (2.0 * math.pi):.6g} Hz")
+        kept = kept[start - first:].copy()  # frees the rows before start
+        kept = np.concatenate([kept] + [
+            solve(omegas[k:k + block, None, None])
+            for k in range(0, len(omegas), block)])
+        first = start
+        occupations = symmetrized_occupation(
+            2.0 * math.pi * freqs_hz[start:stop], temperatures)
+        return {line: (kept[:stop - start, k, :].T, occupations)
+                for k, line in enumerate(measured)}
+    return list(index), rows
 
 
 def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
                 measure: MeasureDecl, omegas: np.ndarray) -> Tuple:
-    """The labels of an op-amp's lines and noise pair, the row (4, F) of
-    the measured line over them, and their occupations (4, F)."""
+    """The row (4, F) of the measured line of an op-amp over its lines and
+    noise pair (l, r, a, a'), and their occupations (4, F)."""
     from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
     left, right = line_decls[decl.left], line_decls[decl.right]
@@ -172,26 +201,37 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
         left.resistance, right.resistance, decl.feedback_capacitance,
         decl.amp_impedance, decl.amp_temperature, omegas,
         f"op-amp {decl.name}:")
-    occupations = np.array([symmetrized_occupation(omegas, d.temperature)
-                            for d in (left, right)] + [sigma_amp, sigma_amp])
+    occupations = np.vstack([symmetrized_occupation(omegas, np.array(
+        [[left.temperature], [right.temperature]])), sigma_amp, sigma_amp])
     row = amplitude[:, (decl.left, decl.right).index(measure.line), :].T
-    return ([decl.left, decl.right, f"{decl.name}_a", f"{decl.name}_a_conj"],
-            row, occupations)
+    return row, occupations
+
+
+def _sources(doc: NetlistDocument, measure: MeasureDecl,
+             opamp_by_line: Dict[str, OpAmpDecl],
+             passive: List[str]) -> List[str]:
+    """Source labels of a field measure: the `passive` line labels, or its
+    op-amp's lines and noise pair, then the noise line of each gain on its
+    line."""
+    decl = opamp_by_line.get(measure.line)
+    lines = passive if decl is None else [
+        decl.left, decl.right, f"{decl.name}_a", f"{decl.name}_a_conj"]
+    return lines + [f"{g.name}_b" for g in doc.gains
+                    if g.input_line == measure.line]
 
 
 def _field_estimator(doc: NetlistDocument, measure: MeasureDecl,
                      sources: List[str], row: np.ndarray,
                      occupations: np.ndarray,
                      omegas: np.ndarray) -> CompiledEstimator:
-    """Estimator of a field readout `row` (K, F) on `sources` through the
-    gains on its line, normalized to its signal line, as energy PSDs
+    """Estimator on its `sources` of a field readout `row` (K, F) through
+    the gains on its line, normalized to its signal line, as energy PSDs
     hbar|w| Sigma (k_B Theta).  Each gain multiplies the row, the signal
     with it, and adds its conjugated noise line."""
     for g in doc.gains:
         if g.input_line != measure.line:
             continue
         gain = complex(g.gain)
-        sources = sources + [f"{g.name}_b"]
         row = np.vstack([gain * row, np.full(
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
         occupations = np.vstack([occupations, symmetrized_occupation(
@@ -199,6 +239,16 @@ def _field_estimator(doc: NetlistDocument, measure: MeasureDecl,
     return CompiledEstimator(measure.label, sources, row,
                              sources.index(measure.signal), occupations,
                              HBAR * np.abs(omegas))
+
+
+def _check_finite(cells: List[Tuple[str, str]], finite: np.ndarray):
+    """Name the first of `cells` (estimator, source) that is not `finite`,
+    a source before the totals it feeds."""
+    if not finite.all():
+        label, src = min((cell for cell, ok in zip(cells, finite) if not ok),
+                         key=lambda cell: cell[1] in ("total", "TOTAL"))
+        raise QNoiseError(f"estimator {label}: source {src} has a "
+                          "non-finite noise budget (numeric overflow)")
 
 
 #: number format of every CSV cell; the golden outputs are byte-exact
@@ -233,72 +283,87 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     _check_structure(doc, fields, opamp_by_line)
     passive = [m for m in fields if m.line not in opamp_by_line]
 
-    omegas = 2.0 * math.pi * freqs_hz
-    spectra = []  # (estimator, column, values over the sweep)
-    records = []  # budget.csv rows, also written as budget.json
+    paths = [os.path.join(out_dir, name) for name in (
+        "spectra.csv", "budget.csv", "budget.json")[:3 if json_mirror else 2]]
     # overflow turns into inf/nan here, which is rejected below by name
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _staged(paths) as write:
+        labels = []  # of the passive lines
         if passive:
-            rows = _passive_rows(doc, passive, omegas, opamp_by_line)
-        for measure in measures:
-            if measure.line == "muscope":
-                from .accelerometer import build_accelerometer
-                model = model or build_accelerometer(config)  # built once
-                est = model.estimator(omegas, measure.label)
-            elif measure.line in opamp_by_line:
-                est = _field_estimator(doc, measure, *_opamp_rows(
-                    doc, opamp_by_line[measure.line], measure, omegas),
-                    omegas)
-            else:
-                est = _field_estimator(doc, measure, *rows[measure.line],
-                                       omegas)
-            budget = evaluate(est, freqs_hz)
-            spectra.append((measure.label, "total", budget.total))
-            spectra.extend((measure.label, src, values)
-                           for src, values in budget.terms.items())
-            records.extend(budget.records(measure.label))
+            labels, rows = _passive_rows(doc, passive, freqs_hz, opamp_by_line)
+        if config is not None:
+            from .accelerometer import build_accelerometer
+            model = build_accelerometer(config)
+        sources = [model.sources if m.line == "muscope" else
+                   _sources(doc, m, opamp_by_line, labels) for m in measures]
+        cells = [(m.label, src) for m, srcs in zip(measures, sources)
+                 for src in ["total", *srcs]]
+        header = ["frequency_Hz"] + [f"{label}_{src}" for label, src in cells]
+        # windows of `step` new points, each from the last point of the
+        # window before it, where its band integral starts
+        step = max(1, BLOCK_ENTRIES // max(len(header), len(labels) * len(
+            {m.line for m in passive})))
+        budgets = [None] * len(measures)  # over the windows so far
+        for start in range(0, max(len(freqs_hz) - 1, 1), step):
+            freqs = freqs_hz[start:start + step + 1]
+            omegas = 2.0 * math.pi * freqs
+            passive_rows = rows(start, start + len(freqs)) if passive else {}
+            columns = [freqs]
+            for k, (measure, srcs) in enumerate(zip(measures, sources)):
+                if measure.line == "muscope":
+                    est = model.estimator(omegas, measure.label)
+                elif measure.line in opamp_by_line:
+                    est = _field_estimator(doc, measure, srcs, *_opamp_rows(
+                        doc, opamp_by_line[measure.line], measure, omegas),
+                        omegas)
+                else:
+                    est = _field_estimator(doc, measure, srcs,
+                                           *passive_rows[measure.line], omegas)
+                budget = budgets[k] = evaluate(est, freqs, budgets[k])
+                columns += [budget.total, *budget.terms.values()]
+            table = np.array(columns)[:, 1 if start else 0:]  # by column
+            _check_finite(cells, np.isfinite(table[1:]).all(axis=1))
+            pieces = _csv_pieces(header, table)
+            if start:  # the header goes once, before the first window
+                next(pieces)
+            write(paths[0], pieces)
+            # free this window's arrays, a view of the solved rows among
+            # them, before the next window solves
+            del table, columns, pieces, est, budget, passive_rows
+
+        records = []  # budget.csv rows, also written as budget.json
+        for measure, budget in zip(measures, budgets):
+            records += budget.records(measure.label)
             if measure.line == "muscope":
                 report = model.report(measure.label)
                 records += [{"estimator": measure.label, "source": src,
                              "band_integrated": value} for src, value in (
                     ("sigma_FF_at_measure_freq", report.sigma_ff),
                     ("acceleration_asd", report.acceleration_asd))]
-    cells = spectra + [(r["estimator"], r["source"], r["band_integrated"])
-                       for r in records]
-    # name a source before the totals it feeds
-    for label, src, values in sorted(cells, key=lambda c: c[1] in
-                                     ("total", "TOTAL")):
-        if not np.isfinite(values).all():
-            raise QNoiseError(f"estimator {label}: source {src} has a "
-                              "non-finite noise budget (numeric overflow)")
-
-    paths = {"spectra": os.path.join(out_dir, "spectra.csv"),
-             "budget": os.path.join(out_dir, "budget.csv")}
-    header = ["frequency_Hz"] + [f"{label}_{src}" for label, src, _ in spectra]
-    _write_text(paths["spectra"], _csv_pieces(
-        header, [freqs_hz] + [v for _, _, v in spectra]))
-    lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
-    for r in records:
-        tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
-                if "dominant" in r else ",")
-        lines.append(f"{r['estimator']},{r['source']},"
-                     f"{_FMT % r['band_integrated']},{tail}")
-    _write_text(paths["budget"], [("\n".join(lines) + "\n").encode()])
-    if json_mirror:
-        import json
-        paths["json"] = os.path.join(out_dir, "budget.json")
-        _write_text(paths["json"], [(json.dumps(
-            records, indent=2, sort_keys=True) + "\n").encode()])
-    return paths
+        _check_finite([(r["estimator"], r["source"]) for r in records],
+                      np.isfinite([r["band_integrated"] for r in records]))
+        lines = ["estimator,source,band_integrated,fraction_of_total,"
+                 "dominant"]
+        for r in records:
+            tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
+                    if "dominant" in r else ",")
+            lines.append(f"{r['estimator']},{r['source']},"
+                         f"{_FMT % r['band_integrated']},{tail}")
+        write(paths[1], [("\n".join(lines) + "\n").encode()])
+        if json_mirror:
+            import json
+            write(paths[2], [(json.dumps(
+                records, indent=2, sort_keys=True) + "\n").encode()])
+    return dict(zip(("spectra", "budget", "json"), paths))
 
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):
-    """spectra.csv as bytes: the header, then pieces of BLOCK_ENTRIES // 8
-    cells written by `_csv_rows`."""
-    table = np.column_stack(columns)
-    step = max(1, BLOCK_ENTRIES // 8 // table.shape[1])
+    """spectra.csv as bytes: the header, then the rows in as few even
+    pieces of about BLOCK_ENTRIES // 8 cells as hold them, each written by
+    `_csv_rows`."""
+    table = np.asarray(columns).T
+    pieces = min(len(table), -(-table.size * 8 // BLOCK_ENTRIES))
     yield (",".join(header) + "\n").encode()
-    for chunk in np.split(table, range(step, len(table), step)):
+    for chunk in np.array_split(table, max(1, pieces)):
         yield _csv_rows(chunk)
 
 
@@ -389,10 +454,43 @@ def _csv_rows(chunk: np.ndarray) -> bytes:
     return data if every else data % tuple(x[~ok].tolist())
 
 
-def _write_text(path: str, pieces: Iterable[bytes]):
+@contextlib.contextmanager
+def _staged(paths: List[str]):
+    """Yield `write(path, pieces)`, which appends `pieces` to a temporary
+    `<path>.<pid>.tmp`, made at its first write; at the end of the block
+    rename the temporaries over their `paths`, or on any error remove them
+    with the directories made for them.  A failed run so writes nothing,
+    and a killed one leaves at most temporaries."""
+    made, parent = [], os.path.dirname(paths[0])  # deepest first
+    while parent and not os.path.lexists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    handles = {}  # path -> its open temporary
+
+    def write(path: str, pieces: Iterable[bytes]):
+        try:
+            if path not in handles:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                handles[path] = open(f"{path}.{os.getpid()}.tmp", "wb")
+            handles[path].writelines(pieces)
+        except OSError as exc:
+            raise QNoiseError(f"cannot write {path}: {exc}") from exc
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.writelines(pieces)
-    except OSError as exc:
-        raise QNoiseError(f"cannot write {path}: {exc}") from exc
+        yield write
+        try:  # every file complete before the first rename
+            for path, handle in handles.items():
+                handle.close()
+            for path, handle in handles.items():
+                os.replace(handle.name, path)
+        except OSError as exc:
+            raise QNoiseError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        for handle in handles.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
+                os.remove(handle.name)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise

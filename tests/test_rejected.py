@@ -50,7 +50,9 @@ STRUCTURAL = ["passive_element_between_opamp_lines",
               "passive_element_on_opamp_line", "passive_signal_on_opamp_line",
               "signal_in_other_component", "opamp_signal_blocked",
               "gain_on_unmeasured_line", "opamp_line_cap_with_opamp_measure",
-              "opamp_signal_named_like_noise_line"]
+              "opamp_signal_named_like_noise_line",
+              "passive_element_after_opamp", "opamp_unread",
+              "passive_lines_unread"]
 
 
 @pytest.mark.parametrize("name", STRUCTURAL)
