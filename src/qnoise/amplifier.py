@@ -126,12 +126,10 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     # U coefficient sqrt(R/R_r)(R_l+Z_f)/R_l and I coefficient -Z_f/sqrt(R R_r)
     p = np.sqrt(r / rr) * (rl + zf) / rl
     q = zf / np.sqrt(r * rr)
-    amp_mat = np.empty(np.shape(zf) + (2, 4), dtype=complex)
-    amp_mat[..., 0, :] = -1.0, 0.0, c_l_a, -c_l_a
-    amp_mat[..., 1, 0] = -2.0 * zf / np.sqrt(rr * rl)
-    amp_mat[..., 1, 1] = -1.0
-    amp_mat[..., 1, 2] = p - q
-    amp_mat[..., 1, 3] = -(p + q)
+    entries = np.broadcast_arrays(
+        -1.0, 0.0, c_l_a, -c_l_a,
+        -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q))
+    amp_mat = np.stack(entries, axis=-1).reshape(np.shape(zf) + (2, 4))
     conj = np.array([
         [False, False, False, True],
         [False, False, False, True],

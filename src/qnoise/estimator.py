@@ -69,15 +69,16 @@ class NoiseBudget(NamedTuple):
 
 
 def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
-             before: Optional[NoiseBudget] = None) -> NoiseBudget:
+             before: Optional[NoiseBudget] = None,
+             before_hz: float = 0.0) -> NoiseBudget:
     """Budget of `est` over its grid `freqs_hz`: divides the row by the
     signal coefficient, naming a source name taken twice, the first
     frequency where the signal is 0 and the first source and frequency
     where |c/s|^2 is not finite; forms scale |c/s|^2 sigma, sums the
-    sources in order and band-integrates them in one trapezoid, added to
-    the band of `before`, the budget of a sweep walked in windows up to
-    freqs_hz[0]."""
-    if len(set(est.sources)) < len(est.sources):
+    sources in order and band-integrates them in one trapezoid.  A sweep
+    walked in windows passes `before`, the budget of the window that ends
+    at `before_hz`, and its band and the trapezoid from there are added."""
+    if len(set(est.sources)) < len(est.sources):  # O(K); the name is O(K^2)
         twice = [src for src in est.sources if est.sources.count(src) > 1]
         raise QNoiseError(f"estimator {est.label}: two sources are named "
                           f"{twice[0]!r}; rename the line that takes it")
@@ -99,14 +100,15 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
             "its signal-normalised coefficient |c/s|^2 overflows")
     terms *= est.occupations
     terms *= est.scale
-    band = (terms[:, 0] if len(freqs_hz) == 1 else
-            np.trapezoid(terms, freqs_hz, axis=-1)).tolist()
-    if before is not None:
-        band = [a + b for a, b in zip(before.band.values(), band)]
-    # the sources are added in order: by terms.sum(0) over F > 1 points,
-    # which at F = 1 sums pairwise, so there by sum()
-    total = terms.sum(0) if len(freqs_hz) > 1 else sum(terms)
-    return NoiseBudget(dict(zip(est.sources, terms)), total,
+    band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
+            np.trapezoid(terms, freqs_hz, axis=-1))
+    if before is not None:  # in grid order: its band, the step, this band
+        last = np.array([t[-1] for t in before.terms.values()])
+        band = np.fromiter(before.band.values(), float, len(last)) + (
+            freqs_hz[0] - before_hz) * (last + terms[:, 0]) / 2.0 + band
+    band = band.tolist()
+    # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
+    return NoiseBudget(dict(zip(est.sources, terms)), sum(terms),
                        dict(zip(est.sources, band)), sum(band))
 
 

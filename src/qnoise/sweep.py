@@ -6,14 +6,12 @@ spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
 occupation budget); the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` stamps the passive network once, then walks the sweep in windows of
-frequencies: per window it solves the passive rows of all its measures,
-compiles each measure into a `CompiledEstimator`, evaluates it with
-`qnoise.estimator.evaluate`, which carries the band integrals from window
-to window, checks the cells and appends the spectra.csv rows.  The outputs
-go to temporaries renamed over them at the end: a budget that would
-contain a non-finite cell raises QNoiseError and nothing is written.  The
-preset and op-amp models and json load only where a run uses them.
+`run` walks the sweep in windows of frequencies: per window it solves the
+passive network once for all its measures, compiles each measure into a
+`CompiledEstimator`, evaluates it with `qnoise.estimator.evaluate` and
+writes the spectra.csv rows.  A budget that would contain a non-finite
+cell raises QNoiseError and nothing is written.  The preset and op-amp
+models and json load only where a run uses them.
 """
 
 import contextlib
@@ -28,8 +26,8 @@ import numpy as np
 from .constants import HBAR
 from .errors import QNoiseError
 from .estimator import CompiledEstimator, evaluate
-from .netlist import MeasureDecl, NetlistDocument, OpAmpDecl, PresetDecl, \
-    SweepDecl
+from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
+    PresetDecl, SweepDecl
 from .network import NoiseLine, capacitor_impedance, impedance_matrix, \
     inductor_impedance, stamp_solver
 from .spectra import symmetrized_occupation
@@ -133,13 +131,12 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
 
 
 def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
-                  freqs_hz: np.ndarray, opamp_by_line: Dict[str, OpAmpDecl]):
+                  opamp_by_line: Dict[str, OpAmpDecl]):
     """The line labels of the passive network (every line outside an
-    op-amp) and `rows(start, stop)`, which gives per line of `measures` its
-    row (n, F) over them and their occupations (n, F) on
-    freqs_hz[start:stop], for windows taken in sweep order.  The network is
-    stamped and checked once and solved for all passive measures in the
-    sweep's fixed blocks of BLOCK_ENTRIES impedance-matrix entries."""
+    op-amp), its solver block and `rows(omegas)`, which gives per line of
+    `measures` its row (n, F) over them and their occupations (n, F).  The
+    network is stamped and checked once; `rows` solves it for all passive
+    measures in blocks of BLOCK_ENTRIES impedance-matrix entries each."""
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_by_line]
     index = {line.label: i for i, line in enumerate(lines)}
@@ -159,14 +156,8 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
     solve = stamp_solver(a, b, lines, measured)
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
     temperatures = np.array([[line.temperature] for line in lines])
-    kept = np.empty((0, len(measured), len(lines)), complex)
-    first = 0  # kept holds the solved rows from freqs_hz[first]
 
-    def rows(start: int, stop: int) -> Dict[str, Tuple]:
-        nonlocal kept, first
-        end = first + len(kept)  # then the whole blocks that reach stop
-        omegas = 2.0 * math.pi * freqs_hz[end:end + -(-(stop - end) // block)
-                                          * block]
+    def rows(omegas: np.ndarray) -> Dict[str, Tuple]:
         # an element whose own reactance 1/(w C) or w L overflows is named
         react = np.multiply.outer(omegas, [e.capacitance for e in caps]
                                   + [e.inductance for e in inds])
@@ -178,59 +169,45 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
                 f"{'cap' if k < len(caps) else 'ind'} {(caps + inds)[k].name}"
                 f": its reactance overflows at "
                 f"{omegas[f] / (2.0 * math.pi):.6g} Hz")
-        kept = kept[start - first:].copy()  # frees the rows before start
-        kept = np.concatenate([kept] + [
-            solve(omegas[k:k + block, None, None])
-            for k in range(0, len(omegas), block)])
-        first = start
-        occupations = symmetrized_occupation(
-            2.0 * math.pi * freqs_hz[start:stop], temperatures)
-        return {line: (kept[:stop - start, k, :].T, occupations)
+        amplitude = np.concatenate([
+            solve(omegas[start:start + block, None, None])
+            for start in range(0, len(omegas), block)])
+        occupations = symmetrized_occupation(omegas, temperatures)
+        return {line: (amplitude[:, k, :].T, occupations)
                 for k, line in enumerate(measured)}
-    return list(index), rows
+    return list(index), block, rows
 
 
-def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl,
-                measure: MeasureDecl, omegas: np.ndarray) -> Tuple:
-    """The row (4, F) of the measured line of an op-amp over its lines and
-    noise pair (l, r, a, a'), and their occupations (4, F)."""
+def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
+    """The labels of an op-amp's lines and noise pair (l, r, a, a') and
+    `rows(omegas)`, which gives the row (4, F) of its `line` over them and
+    their occupations (4, F)."""
     from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
     left, right = line_decls[decl.left], line_decls[decl.right]
-    amplitude, sigma_amp = capacitive_opamp(
-        left.resistance, right.resistance, decl.feedback_capacitance,
-        decl.amp_impedance, decl.amp_temperature, omegas,
-        f"op-amp {decl.name}:")
-    occupations = np.vstack([symmetrized_occupation(omegas, np.array(
-        [[left.temperature], [right.temperature]])), sigma_amp, sigma_amp])
-    row = amplitude[:, (decl.left, decl.right).index(measure.line), :].T
-    return row, occupations
+    side = (decl.left, decl.right).index(line)
+    temperatures = np.array([[left.temperature], [right.temperature]])
+
+    def rows(omegas: np.ndarray) -> Tuple:
+        amplitude, sigma_amp = capacitive_opamp(
+            left.resistance, right.resistance, decl.feedback_capacitance,
+            decl.amp_impedance, decl.amp_temperature, omegas,
+            f"op-amp {decl.name}:")
+        return amplitude[:, side, :].T, np.vstack([symmetrized_occupation(
+            omegas, temperatures), sigma_amp, sigma_amp])
+    return [decl.left, decl.right, f"{decl.name}_a",
+            f"{decl.name}_a_conj"], rows
 
 
-def _sources(doc: NetlistDocument, measure: MeasureDecl,
-             opamp_by_line: Dict[str, OpAmpDecl],
-             passive: List[str]) -> List[str]:
-    """Source labels of a field measure: the `passive` line labels, or its
-    op-amp's lines and noise pair, then the noise line of each gain on its
-    line."""
-    decl = opamp_by_line.get(measure.line)
-    lines = passive if decl is None else [
-        decl.left, decl.right, f"{decl.name}_a", f"{decl.name}_a_conj"]
-    return lines + [f"{g.name}_b" for g in doc.gains
-                    if g.input_line == measure.line]
-
-
-def _field_estimator(doc: NetlistDocument, measure: MeasureDecl,
-                     sources: List[str], row: np.ndarray,
+def _field_estimator(measure: MeasureDecl, sources: List[str],
+                     gains: List[GainDecl], row: np.ndarray,
                      occupations: np.ndarray,
                      omegas: np.ndarray) -> CompiledEstimator:
     """Estimator on its `sources` of a field readout `row` (K, F) through
-    the gains on its line, normalized to its signal line, as energy PSDs
+    the `gains` on its line, normalized to its signal line, as energy PSDs
     hbar|w| Sigma (k_B Theta).  Each gain multiplies the row, the signal
     with it, and adds its conjugated noise line."""
-    for g in doc.gains:
-        if g.input_line != measure.line:
-            continue
+    for g in gains:
         gain = complex(g.gain)
         row = np.vstack([gain * row, np.full(
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
@@ -287,48 +264,52 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         "spectra.csv", "budget.csv", "budget.json")[:3 if json_mirror else 2]]
     # overflow turns into inf/nan here, which is rejected below by name
     with np.errstate(all="ignore"), _staged(paths) as write:
-        labels = []  # of the passive lines
+        labels, block = [], 1  # the passive lines and solver block
         if passive:
-            labels, rows = _passive_rows(doc, passive, freqs_hz, opamp_by_line)
+            labels, block, rows = _passive_rows(doc, passive, opamp_by_line)
+        opamps = {m.line: _opamp_rows(doc, opamp_by_line[m.line], m.line)
+                  for m in fields if m.line in opamp_by_line}
+        gains = {m.line: [] for m in fields}  # per measured line
+        for g in doc.gains:
+            gains[g.input_line].append(g)
         if config is not None:
             from .accelerometer import build_accelerometer
             model = build_accelerometer(config)
         sources = [model.sources if m.line == "muscope" else
-                   _sources(doc, m, opamp_by_line, labels) for m in measures]
+                   (opamps[m.line][0] if m.line in opamps else labels)
+                   + [f"{g.name}_b" for g in gains[m.line]] for m in measures]
         cells = [(m.label, src) for m, srcs in zip(measures, sources)
                  for src in ["total", *srcs]]
         header = ["frequency_Hz"] + [f"{label}_{src}" for label, src in cells]
-        # windows of `step` new points, each from the last point of the
-        # window before it, where its band integral starts
-        step = max(1, BLOCK_ENTRIES // max(len(header), len(labels) * len(
-            {m.line for m in passive})))
+        # windows of about BLOCK_ENTRIES spectra.csv cells or passive row
+        # entries, of 2 points at least (a band is the value itself only on
+        # a one-point sweep), rounded up to whole solver blocks
+        width = max(len(header), len(labels) * len({m.line for m in passive}))
+        window = -(-max(2, BLOCK_ENTRIES // width) // block) * block
         budgets = [None] * len(measures)  # over the windows so far
-        for start in range(0, max(len(freqs_hz) - 1, 1), step):
-            freqs = freqs_hz[start:start + step + 1]
+        for start in range(0, len(freqs_hz), window):
+            freqs = freqs_hz[start:start + window]
             omegas = 2.0 * math.pi * freqs
-            passive_rows = rows(start, start + len(freqs)) if passive else {}
+            solved = rows(omegas) if passive else {}
+            solved.update((line, opamp(omegas))
+                          for line, (_, opamp) in opamps.items())
             columns = [freqs]
             for k, (measure, srcs) in enumerate(zip(measures, sources)):
-                if measure.line == "muscope":
-                    est = model.estimator(omegas, measure.label)
-                elif measure.line in opamp_by_line:
-                    est = _field_estimator(doc, measure, srcs, *_opamp_rows(
-                        doc, opamp_by_line[measure.line], measure, omegas),
-                        omegas)
-                else:
-                    est = _field_estimator(doc, measure, srcs,
-                                           *passive_rows[measure.line], omegas)
-                budget = budgets[k] = evaluate(est, freqs, budgets[k])
+                est = model.estimator(omegas, measure.label) \
+                    if measure.line == "muscope" else _field_estimator(
+                        measure, srcs, gains[measure.line],
+                        *solved[measure.line], omegas)
+                # with the budget of the window that ends before start
+                budget = budgets[k] = evaluate(est, freqs, budgets[k],
+                                               freqs_hz[start - 1])
                 columns += [budget.total, *budget.terms.values()]
-            table = np.array(columns)[:, 1 if start else 0:]  # by column
+            table = np.array(columns)  # by column
             _check_finite(cells, np.isfinite(table[1:]).all(axis=1))
             pieces = _csv_pieces(header, table)
             if start:  # the header goes once, before the first window
                 next(pieces)
             write(paths[0], pieces)
-            # free this window's arrays, a view of the solved rows among
-            # them, before the next window solves
-            del table, columns, pieces, est, budget, passive_rows
+            del table, columns, pieces, est, budget, solved  # before solving
 
         records = []  # budget.csv rows, also written as budget.json
         for measure, budget in zip(measures, budgets):
@@ -457,10 +438,8 @@ def _csv_rows(chunk: np.ndarray) -> bytes:
 @contextlib.contextmanager
 def _staged(paths: List[str]):
     """Yield `write(path, pieces)`, which appends `pieces` to a temporary
-    `<path>.<pid>.tmp`, made at its first write; at the end of the block
-    rename the temporaries over their `paths`, or on any error remove them
-    with the directories made for them.  A failed run so writes nothing,
-    and a killed one leaves at most temporaries."""
+    `<path>.<pid>.tmp`; rename the temporaries over their `paths` at the
+    end, or on any error remove them and the directories made for them."""
     made, parent = [], os.path.dirname(paths[0])  # deepest first
     while parent and not os.path.lexists(parent):
         made.append(parent)
@@ -477,9 +456,12 @@ def _staged(paths: List[str]):
             raise QNoiseError(f"cannot write {path}: {exc}") from exc
     try:
         yield write
-        try:  # every file complete before the first rename
+        try:  # every file complete and free to rename before the first
             for path, handle in handles.items():
                 handle.close()
+                if os.path.isdir(path):
+                    raise QNoiseError(f"cannot write {path}: a directory "
+                                      "has its name")
             for path, handle in handles.items():
                 os.replace(handle.name, path)
         except OSError as exc:

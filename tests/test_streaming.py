@@ -43,11 +43,12 @@ def test_peak_memory_does_not_grow_with_the_sweep(tmp_path):
     assert long - short < 1e6, (short, long)
 
 
-@pytest.mark.parametrize("entries", [1, 64, 4096])
+@pytest.mark.parametrize("entries", [1, 600, 4096])
 def test_windows_change_no_cell(entries, tmp_path, monkeypatch):
-    # one window for the whole sweep, then windows of 1, 2 or 163 points
+    # one window for the whole sweep, then windows of 2 or 30 points (the
+    # last of 1) or of 200 and 101 points
     netlist = tmp_path / "ladder.qn"
-    netlist.write_text(ladder_text(1, 10, 300))
+    netlist.write_text(ladder_text(1, 10, 301))
     assert main(["run", str(netlist), "--out", str(tmp_path / "one"),
                  "--json"]) == 0
     monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
@@ -137,3 +138,19 @@ def test_output_path_taken_by_a_directory(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(
         f"qnoise: cannot write {out / 'spectra.csv'}: ")
     assert [p.name for p in out.iterdir()] == ["spectra.csv"]
+
+
+def test_no_output_renamed_while_another_name_is_a_directory(tmp_path,
+                                                             capsys):
+    netlist = tmp_path / "net.qn"
+    netlist.write_text(LONG_LINE)
+    out = tmp_path / "out"
+    (out / "budget.csv").mkdir(parents=True)
+    (out / "spectra.csv").write_bytes(b"earlier spectra\n")
+    assert main(["run", str(netlist), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"qnoise: cannot write {out / 'budget.csv'}: ")
+    assert sorted(p.name for p in out.iterdir()) == ["budget.csv",
+                                                      "spectra.csv"]
+    assert (out / "spectra.csv").read_bytes() == b"earlier spectra\n"
