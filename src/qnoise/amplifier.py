@@ -16,6 +16,8 @@ for an arbitrary decomposition impedance R.  This normalization keeps
 the Bogoliubov condition exactly.  At R = R_a = sqrt(sigma_UU / sigma_II)
 the two lines are uncorrelated; away from it the anomalous a-a' correlation
 carries the difference, leaving all physical port spectra R-independent.
+`opamp_scattering` builds this map for any feedback; the sweep and the
+accelerometer take `capacitive_opamp`'s rows, its entries in closed form.
 """
 
 import math
@@ -29,14 +31,9 @@ from .errors import DomainError, ModelError
 from .network import ScatteringMap, TOL_REACTIVE, capacitor_impedance
 
 __all__ = [
-    "GainStage",
-    "OpAmpNoisePair",
-    "IdealOpAmp",
-    "amplify_mode",
-    "opamp_scattering",
-    "capacitive_opamp",
-    "noise_line_occupations",
-    "recombine_noise_sources",
+    "GainStage", "OpAmpNoisePair", "IdealOpAmp",
+    "amplify_mode", "opamp_scattering", "capacitive_opamp",
+    "noise_line_occupations", "recombine_noise_sources",
 ]
 
 
@@ -143,7 +140,9 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
     """Rows (left, right) over lines (l, r, a, a') of the ideal op-amp with
     feedback capacitor `c_feedback`, decomposed at its matched impedance
     r_a, and the occupation k_B Theta_a / hbar omega of its lines a, a',
-    rejected below the 1/2 vacuum floor; `name` and `at` word the message."""
+    rejected below the 1/2 vacuum floor; `name` and `at` word the message.
+    The rows are `opamp_scattering`'s entries, bit for bit, in closed form;
+    over an array of omega each row's (4, F) transpose is contiguous."""
     sigma = K_B * theta_a / (HBAR * omega)
     low = np.flatnonzero(np.ravel(sigma) < 0.5)
     if low.size:
@@ -151,9 +150,20 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
                           f"{np.ravel(sigma)[low[0]]:.3g} is below the 1/2 "
                           f"vacuum floor at {at}"
                           f"{np.ravel(omega)[low[0]] / (2.0 * math.pi):.6g} Hz")
-    amp = IdealOpAmp(r_left, r_right,
-                     lambda w: capacitor_impedance(c_feedback, w))
-    return opamp_scattering(amp, r_a, omega).amplitude, sigma
+    rl, rr, r = r_left, r_right, r_a
+    if rl <= 0.0 or rr <= 0.0:
+        raise DomainError("line impedances must be positive")
+    if r <= 0.0:
+        raise DomainError("decomposition impedance must be positive")
+    zf = capacitor_impedance(c_feedback, omega)  # i/(omega C): reactive
+    zf = complex(zf) if np.ndim(zf) == 0 else zf
+    c, q = np.sqrt(r / rl), zf / np.sqrt(r * rr)
+    p = np.sqrt(r / rr) * (rl + zf) / rl
+    rows = np.empty((8,) + np.shape(zf), complex)
+    for k, entry in enumerate((-1.0, 0.0, c, -c, -2.0 * zf / np.sqrt(rr * rl),
+                               -1.0, p - q, -(p + q))):
+        rows[k] = entry
+    return rows.reshape((2, 4) + np.shape(zf)).T.swapaxes(-1, -2), sigma
 
 
 def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,

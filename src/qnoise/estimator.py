@@ -77,8 +77,9 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
     where |c/s|^2 is not finite; forms scale |c/s|^2 sigma, sums the
     sources in order and band-integrates them in one trapezoid.  A sweep
     walked in windows passes `before`, the budget of the window that ends
-    at `before_hz`, and its band and the trapezoid from there are added."""
-    if len(set(est.sources)) < len(est.sources):  # O(K); the name is O(K^2)
+    at `before_hz`, and its band and the trapezoid from there are added;
+    its sources were checked with the first window."""
+    if before is None and len(set(est.sources)) < len(est.sources):  # O(K)
         twice = [src for src in est.sources if est.sources.count(src) > 1]
         raise QNoiseError(f"estimator {est.label}: two sources are named "
                           f"{twice[0]!r}; rename the line that takes it")
@@ -100,8 +101,10 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
             "its signal-normalised coefficient |c/s|^2 overflows")
     terms *= est.occupations
     terms *= est.scale
+    # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up
     band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
-            np.trapezoid(terms, freqs_hz, axis=-1))
+            np.add.reduce(np.diff(freqs_hz) * (terms[:, 1:] + terms[:, :-1])
+                          / 2.0, axis=-1))
     if before is not None:  # in grid order: its band, the step, this band
         last = np.array([t[-1] for t in before.terms.values()])
         band = np.fromiter(before.band.values(), float, len(last)) + (

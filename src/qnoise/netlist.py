@@ -109,43 +109,28 @@ class PresetDecl(NamedTuple):
     overrides: Tuple[Tuple[str, float], ...] = ()
 
 
+def _all_of(kind) -> property:
+    """The declarations of `kind`, in order, as a document property."""
+    return property(lambda doc: [d for d in doc.declarations
+                                 if isinstance(d, kind)])
+
+
+def _one_of(kind) -> property:
+    """The declaration of `kind`, or None, as a document property."""
+    return property(lambda doc: next((d for d in doc.declarations
+                                      if isinstance(d, kind)), None))
+
+
 class NetlistDocument(NamedTuple):
     declarations: Tuple[object, ...]
-
-    def _of(self, kind):
-        return [d for d in self.declarations if isinstance(d, kind)]
-
-    @property
-    def lines(self) -> List[LineDecl]:
-        return self._of(LineDecl)
-
-    @property
-    def caps(self) -> List[CapDecl]:
-        return self._of(CapDecl)
-
-    @property
-    def inds(self) -> List[IndDecl]:
-        return self._of(IndDecl)
-
-    @property
-    def opamps(self) -> List[OpAmpDecl]:
-        return self._of(OpAmpDecl)
-
-    @property
-    def gains(self) -> List[GainDecl]:
-        return self._of(GainDecl)
-
-    @property
-    def sweep(self) -> Optional[SweepDecl]:
-        return next(iter(self._of(SweepDecl)), None)
-
-    @property
-    def measures(self) -> List[MeasureDecl]:
-        return self._of(MeasureDecl)
-
-    @property
-    def preset(self) -> Optional[PresetDecl]:
-        return next(iter(self._of(PresetDecl)), None)
+    lines = _all_of(LineDecl)
+    caps = _all_of(CapDecl)
+    inds = _all_of(IndDecl)
+    opamps = _all_of(OpAmpDecl)
+    gains = _all_of(GainDecl)
+    sweep = _one_of(SweepDecl)
+    measures = _all_of(MeasureDecl)
+    preset = _one_of(PresetDecl)
 
 
 class _Token(NamedTuple):
@@ -157,12 +142,8 @@ class _Token(NamedTuple):
 def _tokenize(text: str) -> List[List[_Token]]:
     rows = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        hash_pos = raw.find("#")
-        if hash_pos >= 0:
-            raw = raw[:hash_pos]
-        tokens = []
-        for match in re.finditer(r"\S+", raw):
-            tokens.append(_Token(match.group(0), lineno, match.start() + 1))
+        tokens = [_Token(match.group(0), lineno, match.start() + 1)
+                  for match in re.finditer(r"\S+", raw.partition("#")[0])]
         if tokens:
             rows.append(tokens)
     return rows

@@ -20,16 +20,10 @@ import numpy as np
 from .errors import DomainError, ModelError
 
 __all__ = [
-    "NoiseLine",
-    "ScatteringMap",
-    "SpectrumTable",
-    "capacitor_impedance",
-    "inductor_impedance",
-    "impedance_matrix",
-    "scattering_from_impedance",
-    "stamp_solver",
-    "propagate_spectra",
-    "row_occupation",
+    "NoiseLine", "ScatteringMap", "SpectrumTable",
+    "capacitor_impedance", "inductor_impedance", "impedance_matrix",
+    "scattering_from_impedance", "stamp_solver",
+    "propagate_spectra", "row_occupation",
 ]
 
 #: relative anti-Hermiticity tolerance separating modeling errors from float noise

@@ -35,6 +35,4 @@ def symmetrized_occupation(omega, temperature):
     x = np.where(t > 0.0, HBAR * omega / (2.0 * K_B * np.where(t > 0.0, t, 1.0)),
                  np.inf)
     sigma = 0.5 / np.tanh(x)
-    if sigma.ndim == 0:
-        return float(sigma)
-    return sigma
+    return float(sigma) if sigma.ndim == 0 else sigma

@@ -6,12 +6,13 @@ spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
 occupation budget); the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` walks the sweep in windows of frequencies: per window it solves the
-passive network once for all its measures, compiles each measure into a
-`CompiledEstimator`, evaluates it with `qnoise.estimator.evaluate` and
-writes the spectra.csv rows.  A budget that would contain a non-finite
-cell raises QNoiseError and nothing is written.  The preset and op-amp
-models and json load only where a run uses them.
+`run` does the work that no frequency needs once: it stamps the network,
+fixes each measure's sources and signal and checks the spectra.csv header.
+It then walks the sweep in windows of frequencies and per window only
+solves the rows, evaluates each measure's `CompiledEstimator` with
+`qnoise.estimator.evaluate` and writes the spectra.csv rows.  A non-finite
+budget cell raises QNoiseError and nothing is written.  The preset and
+op-amp models and json load only where a run uses them.
 """
 
 import contextlib
@@ -67,15 +68,11 @@ def preset_config(preset: PresetDecl,
     params = dict(preset.overrides)
     if extra:
         params.update(extra)
-    kwargs = {}
-    for key, value in params.items():
-        if key == "measure_freq_hz":
-            kwargs["measure_omega"] = 2.0 * math.pi * value
-        elif key == "carrier_freq_hz":
-            kwargs["carrier_omega"] = 2.0 * math.pi * value
-        else:
-            kwargs[key] = value
-    return dataclasses.replace(MUSCOPE, **kwargs)
+    angular = {"measure_freq_hz": "measure_omega",
+               "carrier_freq_hz": "carrier_omega"}  # from Hz
+    return dataclasses.replace(MUSCOPE, **{
+        angular.get(key, key): 2.0 * math.pi * value if key in angular
+        else value for key, value in params.items()})
 
 
 def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
@@ -199,12 +196,11 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
             f"{decl.name}_a_conj"], rows
 
 
-def _field_estimator(measure: MeasureDecl, sources: List[str],
-                     gains: List[GainDecl], row: np.ndarray,
-                     occupations: np.ndarray,
+def _field_estimator(fixed: CompiledEstimator, gains: List[GainDecl],
+                     row: np.ndarray, occupations: np.ndarray,
                      omegas: np.ndarray) -> CompiledEstimator:
-    """Estimator on its `sources` of a field readout `row` (K, F) through
-    the `gains` on its line, normalized to its signal line, as energy PSDs
+    """The estimator `fixed` (its label, sources and signal) of a field
+    readout `row` (K, F) through the `gains` on its line, as energy PSDs
     hbar|w| Sigma (k_B Theta).  Each gain multiplies the row, the signal
     with it, and adds its conjugated noise line."""
     for g in gains:
@@ -213,9 +209,8 @@ def _field_estimator(measure: MeasureDecl, sources: List[str],
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
         occupations = np.vstack([occupations, symmetrized_occupation(
             omegas, g.noise_temperature)])
-    return CompiledEstimator(measure.label, sources, row,
-                             sources.index(measure.signal), occupations,
-                             HBAR * np.abs(omegas))
+    return fixed._replace(coefficients=row, occupations=occupations,
+                          scale=HBAR * np.abs(omegas))
 
 
 def _check_finite(cells: List[Tuple[str, str]], finite: np.ndarray):
@@ -278,9 +273,21 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         sources = [model.sources if m.line == "muscope" else
                    (opamps[m.line][0] if m.line in opamps else labels)
                    + [f"{g.name}_b" for g in gains[m.line]] for m in measures]
+        fixed = [CompiledEstimator(m.label, srcs, None, srcs.index(m.signal),
+                                   None, None) if m.line != "muscope" else
+                 None for m, srcs in zip(measures, sources)]
         cells = [(m.label, src) for m, srcs in zip(measures, sources)
                  for src in ["total", *srcs]]
         header = ["frequency_Hz"] + [f"{label}_{src}" for label, src in cells]
+        owners = {}  # by column; one source named twice is left to evaluate
+        for column, owner in zip(header, ["the frequency"] + [
+                f"{f'source {src}' if k else 'the total'} of estimator "
+                f"{m.label}" for m, srcs in zip(measures, sources)
+                for k, src in enumerate(["total", *srcs])]):
+            if owners.setdefault(column, owner) != owner:
+                raise QNoiseError(f"spectra.csv column {column!r} would hold "
+                                  f"both {owners[column]} and {owner}; rename "
+                                  "a line or a measure")
         # windows of about BLOCK_ENTRIES spectra.csv cells or passive row
         # entries, of 2 points at least (a band is the value itself only on
         # a one-point sweep), rounded up to whole solver blocks
@@ -294,10 +301,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             solved.update((line, opamp(omegas))
                           for line, (_, opamp) in opamps.items())
             columns = [freqs]
-            for k, (measure, srcs) in enumerate(zip(measures, sources)):
+            for k, measure in enumerate(measures):
                 est = model.estimator(omegas, measure.label) \
                     if measure.line == "muscope" else _field_estimator(
-                        measure, srcs, gains[measure.line],
+                        fixed[k], gains[measure.line],
                         *solved[measure.line], omegas)
                 # with the budget of the window that ends before start
                 budget = budgets[k] = evaluate(est, freqs, budgets[k],
@@ -342,10 +349,12 @@ def _csv_pieces(header: List[str], columns: List[np.ndarray]):
     pieces of about BLOCK_ENTRIES // 8 cells as hold them, each written by
     `_csv_rows`."""
     table = np.asarray(columns).T
-    pieces = min(len(table), -(-table.size * 8 // BLOCK_ENTRIES))
+    pieces = max(1, min(len(table), -(-table.size * 8 // BLOCK_ENTRIES)))
     yield (",".join(header) + "\n").encode()
-    for chunk in np.array_split(table, max(1, pieces)):
-        yield _csv_rows(chunk)
+    each, longer = divmod(len(table), pieces)  # as np.array_split cuts
+    for k in range(pieces):
+        start = k * each + min(k, longer)
+        yield _csv_rows(table[start:start + each + (k < longer)])
 
 
 def _csv_tables():

@@ -17,7 +17,8 @@ from qnoise.netlist import parse_netlist
 ROOT = Path(__file__).parents[1]
 REJECTED = ROOT / "tests" / "data" / "rejected"
 sys.path.insert(0, str(ROOT / "bench"))
-from workloads import ladder_text  # noqa: E402  (the bench ladder recipe)
+# the bench workload recipes
+from workloads import ladder_text, muscope_text, opamp_text  # noqa: E402
 
 #: 3 spectra.csv columns, so 2,000 points make several pieces of text
 LONG_LINE = """line r1 R=50 T=1
@@ -45,25 +46,49 @@ def test_peak_memory_does_not_grow_with_the_sweep(tmp_path):
 
 @pytest.mark.parametrize("entries", [1, 600, 4096])
 def test_windows_change_no_cell(entries, tmp_path, monkeypatch):
-    # one window for the whole sweep, then windows of 2 or 30 points (the
-    # last of 1) or of 200 and 101 points
-    netlist = tmp_path / "ladder.qn"
-    netlist.write_text(ladder_text(1, 10, 301))
-    assert main(["run", str(netlist), "--out", str(tmp_path / "one"),
-                 "--json"]) == 0
-    monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
-    assert main(["run", str(netlist), "--out", str(tmp_path / "many"),
-                 "--json"]) == 0
-    one, many = tmp_path / "one", tmp_path / "many"
-    assert (many / "spectra.csv").read_bytes() == \
-        (one / "spectra.csv").read_bytes()
-    want = json.loads((one / "budget.json").read_text())
-    got = json.loads((many / "budget.json").read_text())
-    assert [(r["estimator"], r["source"], r["dominant"]) for r in got] == \
-        [(r["estimator"], r["source"], r["dominant"]) for r in want]
-    for rec, ref in zip(got, want):
-        for key in ("band_integrated", "fraction_of_total"):
-            assert math.isclose(rec[key], ref[key], rel_tol=1e-12), ref
+    # one window for the whole sweep, then smaller ones: on the ladder of 2
+    # or 30 points (the last of 1) or of 200 and 101 points; on the op-amp
+    # readout (6 columns) and the muscope (7) of 2 points, or of 100 and 85
+    # points (4096 entries leave them one window)
+    for name, text in (("ladder", ladder_text(1, 10, 301)),
+                       ("opamp", opamp_text(1, 301)),
+                       ("muscope", muscope_text(1, 301))):
+        netlist = tmp_path / f"{name}.qn"
+        netlist.write_text(text)
+        one, many = tmp_path / f"{name}_one", tmp_path / f"{name}_many"
+        with monkeypatch.context() as patch:
+            assert main(["run", str(netlist), "--out", str(one),
+                         "--json"]) == 0
+            patch.setattr(sweep, "BLOCK_ENTRIES", entries)
+            assert main(["run", str(netlist), "--out", str(many),
+                         "--json"]) == 0
+        assert (many / "spectra.csv").read_bytes() == \
+            (one / "spectra.csv").read_bytes(), name
+        want = json.loads((one / "budget.json").read_text())
+        got = json.loads((many / "budget.json").read_text())
+        assert [(r["estimator"], r["source"], r.get("dominant"))
+                for r in got] == \
+            [(r["estimator"], r["source"], r.get("dominant")) for r in want]
+        for rec, ref in zip(got, want):
+            for key in ("band_integrated", "fraction_of_total"):
+                if key in ref:
+                    assert math.isclose(rec[key], ref[key],
+                                        rel_tol=1e-12), (name, ref)
+
+
+@pytest.mark.parametrize("name", ["opamp_readout", "muscope"])
+def test_active_paths_build_no_general_opamp_map(name, tmp_path, monkeypatch):
+    # the sweep and the accelerometer take the closed-form op-amp rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("general op-amp map built")
+    monkeypatch.setattr("qnoise.amplifier.opamp_scattering", refuse)
+    monkeypatch.setattr("qnoise.amplifier.IdealOpAmp", refuse)
+    out = tmp_path / "out"
+    assert main(["run", str(ROOT / "docs" / f"{name}.qn"), "--out",
+                 str(out)]) == 0
+    golden = ROOT / "tests" / "data" / "golden" / "docs" / name
+    for csv in ("spectra.csv", "budget.csv"):
+        assert (out / csv).read_bytes() == (golden / csv).read_bytes(), csv
 
 
 def test_late_model_error_leaves_no_directory(tmp_path, monkeypatch, capsys):
