@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .amplifier import capacitive_opamp
-from .constants import K_B
+from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
 from .estimator import CompiledEstimator, NoiseBudget, evaluate
 
@@ -88,6 +88,9 @@ class AccelerometerConfig:
             raise DomainError(f"feedback_capacitance: the default from "
                               "amp_impedance and readout_impedance is "
                               f"{self.c_feedback:.3g}, out of range")
+        if not 0.0 < self.amp_impedance * self.r_readout < math.inf:
+            raise DomainError("amp_impedance * readout_impedance is not a "
+                              "positive finite double")
 
     @property
     def r_readout(self) -> float:
@@ -168,7 +171,7 @@ class AccelerometerModel:
         return CompiledEstimator(
             label, self.sources, np.array([1.0 / z_t] + [
                 z_m * c / z_t for c in self.detection_coefficients.values()]),
-            0, self._flat_occupations, 1.0)
+            0, self._flat_occupations)
 
     @functools.cached_property
     def _flat_occupations(self) -> np.ndarray:
@@ -228,7 +231,7 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     ideal.
     """
     cfg = config
-    amplitude, sigma_amp = capacitive_opamp(
+    amplitude, energy = capacitive_opamp(
         cfg.amp_impedance, cfg.r_readout, cfg.c_feedback, cfg.amp_impedance,
         cfg.amp_temperature, cfg.carrier_omega, "amplifier", "the carrier ")
     row = [complex(c) for c in amplitude[1]]  # the readout line's row
@@ -239,6 +242,7 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     labels = (LINE_IN, LINE_OUT, AMP_A, AMP_AC)
     # the detection lines carry occupations demodulated from the carrier,
     # the mechanical source its force PSD (its coefficient is unity)
+    sigma_amp = energy / (HBAR * cfg.carrier_omega)
     occupations = dict(zip(labels, (0.5, 0.5, sigma_amp, sigma_amp)))
     occupations[MECH] = mechanical_langevin_psd(cfg.mech_damping,
                                                 cfg.bath_temperature)

@@ -17,7 +17,8 @@ the Bogoliubov condition exactly.  At R = R_a = sqrt(sigma_UU / sigma_II)
 the two lines are uncorrelated; away from it the anomalous a-a' correlation
 carries the difference, leaving all physical port spectra R-independent.
 `opamp_scattering` builds this map for any feedback; the sweep and the
-accelerometer take `capacitive_opamp`'s rows, its entries in closed form.
+accelerometer take `capacitive_opamp`'s rows.  Both write the map's eight
+entries with the one closed form `_opamp_entries`.
 """
 
 import math
@@ -117,53 +118,48 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     if r <= 0.0:
         raise DomainError("decomposition impedance must be positive")
     zf = amp.feedback_at(omega)
-    rl, rr = amp.r_left, amp.r_right
-
-    c_l_a = np.sqrt(r / rl)
-    # U coefficient sqrt(R/R_r)(R_l+Z_f)/R_l and I coefficient -Z_f/sqrt(R R_r)
-    p = np.sqrt(r / rr) * (rl + zf) / rl
-    q = zf / np.sqrt(r * rr)
-    entries = np.broadcast_arrays(
-        -1.0, 0.0, c_l_a, -c_l_a,
-        -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q))
-    amp_mat = np.stack(entries, axis=-1).reshape(np.shape(zf) + (2, 4))
-    conj = np.array([
-        [False, False, False, True],
-        [False, False, False, True],
-    ])
+    amp_mat = np.stack(np.broadcast_arrays(*_opamp_entries(
+        amp.r_left, amp.r_right, r, zf)), -1).reshape(np.shape(zf) + (2, 4))
+    conj = np.array([[False, False, False, True]] * 2)  # a' conjugated
     return ScatteringMap(amp_mat, conj, ["l", "r"], ["l", "r", "a", "a_conj"])
+
+
+def _opamp_entries(rl: float, rr: float, r: float, zf) -> tuple:
+    """The eight entries of the rows (l_out, r_out) over lines (l, r, a, a')
+    at feedback `zf` (a number, or an array over a sweep), decomposed at R."""
+    c, q = np.sqrt(r / rl), zf / np.sqrt(r * rr)  # q: I coefficient
+    p = np.sqrt(r / rr) * (rl + zf) / rl  # U coefficient on a, a'
+    return (-1.0, 0.0, c, -c, -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q,
+            -(p + q))
 
 
 def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
                      r_a: float, theta_a: float, omega, name: str,
-                     at: str = "") -> Tuple[np.ndarray, object]:
+                     at: str = "") -> Tuple[np.ndarray, float]:
     """Rows (left, right) over lines (l, r, a, a') of the ideal op-amp with
     feedback capacitor `c_feedback`, decomposed at its matched impedance
-    r_a, and the occupation k_B Theta_a / hbar omega of its lines a, a',
-    rejected below the 1/2 vacuum floor; `name` and `at` word the message.
-    The rows are `opamp_scattering`'s entries, bit for bit, in closed form;
-    over an array of omega each row's (4, F) transpose is contiguous."""
-    sigma = K_B * theta_a / (HBAR * omega)
+    r_a, and the flat energy k_B Theta_a of its lines a, a', rejected below
+    the hbar|omega|/2 vacuum floor; `name` and `at` word the message.  The
+    rows are `opamp_scattering`'s, bit for bit; over an array of omega each
+    row's (4, F) transpose is contiguous."""
+    energy = K_B * theta_a
+    sigma = energy / (HBAR * omega)
     low = np.flatnonzero(np.ravel(sigma) < 0.5)
     if low.size:
         raise DomainError(f"{name} noise occupation "
                           f"{np.ravel(sigma)[low[0]]:.3g} is below the 1/2 "
                           f"vacuum floor at {at}"
                           f"{np.ravel(omega)[low[0]] / (2.0 * math.pi):.6g} Hz")
-    rl, rr, r = r_left, r_right, r_a
-    if rl <= 0.0 or rr <= 0.0:
+    if r_left <= 0.0 or r_right <= 0.0:
         raise DomainError("line impedances must be positive")
-    if r <= 0.0:
+    if r_a <= 0.0:
         raise DomainError("decomposition impedance must be positive")
     zf = capacitor_impedance(c_feedback, omega)  # i/(omega C): reactive
     zf = complex(zf) if np.ndim(zf) == 0 else zf
-    c, q = np.sqrt(r / rl), zf / np.sqrt(r * rr)
-    p = np.sqrt(r / rr) * (rl + zf) / rl
     rows = np.empty((8,) + np.shape(zf), complex)
-    for k, entry in enumerate((-1.0, 0.0, c, -c, -2.0 * zf / np.sqrt(rr * rl),
-                               -1.0, p - q, -(p + q))):
+    for k, entry in enumerate(_opamp_entries(r_left, r_right, r_a, zf)):
         rows[k] = entry
-    return rows.reshape((2, 4) + np.shape(zf)).T.swapaxes(-1, -2), sigma
+    return rows.reshape((2, 4) + np.shape(zf)).T.swapaxes(-1, -2), energy
 
 
 def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,

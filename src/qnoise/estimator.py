@@ -4,8 +4,8 @@ Passive, gain, op-amp and muscope estimators are each compiled once into
 a `CompiledEstimator` and evaluated by the one kernel `evaluate`.  Divided
 by its signal coefficient, a readout row reads as the signal plus an
 equivalent input noise sum_alpha mu_alpha alpha_in; the budget is the
-per-source decomposition scale |mu_alpha|^2 sigma_alpha of the added-noise
-spectrum.
+per-source decomposition |mu_alpha|^2 k_B Theta_alpha of the added-noise
+spectrum (for the muscope force estimator, |mu_alpha|^2 times force PSDs).
 """
 
 import math
@@ -26,16 +26,15 @@ __all__ = [
 class CompiledEstimator(NamedTuple):
     """Estimator `label` over F frequencies: its raw readout row
     `coefficients` (K, F) on the K `sources`, the index `signal` of the
-    source whose row is the signal coefficient, the `occupations` (K, F),
-    or (K, 1) when flat in frequency, and the unit `scale`: hbar|omega|
-    (F,) for an energy PSD, 1.0 for a force PSD."""
+    source whose row is the signal coefficient and the `occupations` (K, F),
+    or (K, 1) when flat in frequency, in the units of the PSD per |c/s|^2:
+    energies k_B Theta for a field readout, force PSDs for the muscope."""
 
     label: str
     sources: List[str]
     coefficients: np.ndarray
     signal: int
     occupations: np.ndarray
-    scale: object
 
 
 class NoiseBudget(NamedTuple):
@@ -74,7 +73,7 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
     """Budget of `est` over its grid `freqs_hz`: divides the row by the
     signal coefficient, naming a source name taken twice, the first
     frequency where the signal is 0 and the first source and frequency
-    where |c/s|^2 is not finite; forms scale |c/s|^2 sigma, sums the
+    where |c/s|^2 is not finite; forms |c/s|^2 times the occupations, sums the
     sources in order and band-integrates them in one trapezoid.  A sweep
     walked in windows passes `before`, the budget of the window that ends
     at `before_hz`, and its band and the trapezoid from there are added;
@@ -100,7 +99,6 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
             f"noise budget (numeric overflow) at {freqs_hz[f]:.6g} Hz, where "
             "its signal-normalised coefficient |c/s|^2 overflows")
     terms *= est.occupations
-    terms *= est.scale
     # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up
     band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
             np.add.reduce(np.diff(freqs_hz) * (terms[:, 1:] + terms[:, :-1])

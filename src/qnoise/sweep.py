@@ -1,9 +1,9 @@
 """Sweep driver: evaluate a parsed netlist and write its CSV noise budgets.
 
 Frequencies are Hz at every user boundary and angular internally (factor of
-exactly 2 pi).  Estimator PSDs of field readouts are reported as energy
-spectral densities hbar|omega| * Sigma (the k_B Theta equivalent of the
-occupation budget); the muscope force estimator is reported in
+exactly 2 pi).  Every field source carries its energy k_B Theta (J), so
+estimator PSDs of field readouts are energy spectral densities
+sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
 `run` does the work that no frequency needs once: it stamps the network,
@@ -24,14 +24,13 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .constants import HBAR
 from .errors import QNoiseError
 from .estimator import CompiledEstimator, evaluate
 from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
     PresetDecl, SweepDecl
 from .network import NoiseLine, capacitor_impedance, impedance_matrix, \
     inductor_impedance, stamp_solver
-from .spectra import symmetrized_occupation
+from .spectra import thermal_energy
 
 if TYPE_CHECKING:
     from .accelerometer import AccelerometerConfig
@@ -131,7 +130,7 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
                   opamp_by_line: Dict[str, OpAmpDecl]):
     """The line labels of the passive network (every line outside an
     op-amp), its solver block and `rows(omegas)`, which gives per line of
-    `measures` its row (n, F) over them and their occupations (n, F).  The
+    `measures` its row (n, F) over them and their energies (n, F).  The
     network is stamped and checked once; `rows` solves it for all passive
     measures in blocks of BLOCK_ENTRIES impedance-matrix entries each."""
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
@@ -169,8 +168,8 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
         amplitude = np.concatenate([
             solve(omegas[start:start + block, None, None])
             for start in range(0, len(omegas), block)])
-        occupations = symmetrized_occupation(omegas, temperatures)
-        return {line: (amplitude[:, k, :].T, occupations)
+        energies = thermal_energy(omegas, temperatures)
+        return {line: (amplitude[:, k, :].T, energies)
                 for k, line in enumerate(measured)}
     return list(index), block, rows
 
@@ -178,7 +177,7 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
 def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
     """The labels of an op-amp's lines and noise pair (l, r, a, a') and
     `rows(omegas)`, which gives the row (4, F) of its `line` over them and
-    their occupations (4, F)."""
+    their energies (4, F), the noise pair's flat k_B Theta_a."""
     from .amplifier import capacitive_opamp
     line_decls = {d.name: d for d in doc.lines}
     left, right = line_decls[decl.left], line_decls[decl.right]
@@ -186,31 +185,30 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
     temperatures = np.array([[left.temperature], [right.temperature]])
 
     def rows(omegas: np.ndarray) -> Tuple:
-        amplitude, sigma_amp = capacitive_opamp(
+        amplitude, energy = capacitive_opamp(
             left.resistance, right.resistance, decl.feedback_capacitance,
             decl.amp_impedance, decl.amp_temperature, omegas,
             f"op-amp {decl.name}:")
-        return amplitude[:, side, :].T, np.vstack([symmetrized_occupation(
-            omegas, temperatures), sigma_amp, sigma_amp])
+        return amplitude[:, side, :].T, np.vstack([thermal_energy(
+            omegas, temperatures), np.full((2, len(omegas)), energy)])
     return [decl.left, decl.right, f"{decl.name}_a",
             f"{decl.name}_a_conj"], rows
 
 
 def _field_estimator(fixed: CompiledEstimator, gains: List[GainDecl],
-                     row: np.ndarray, occupations: np.ndarray,
+                     row: np.ndarray, energies: np.ndarray,
                      omegas: np.ndarray) -> CompiledEstimator:
     """The estimator `fixed` (its label, sources and signal) of a field
-    readout `row` (K, F) through the `gains` on its line, as energy PSDs
-    hbar|w| Sigma (k_B Theta).  Each gain multiplies the row, the signal
-    with it, and adds its conjugated noise line."""
+    readout `row` (K, F) on sources of `energies` k_B Theta (K, F), through
+    the `gains` on its line.  Each gain multiplies the row, the signal with
+    it, and adds its conjugated noise line."""
     for g in gains:
         gain = complex(g.gain)
         row = np.vstack([gain * row, np.full(
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
-        occupations = np.vstack([occupations, symmetrized_occupation(
+        energies = np.vstack([energies, thermal_energy(
             omegas, g.noise_temperature)])
-    return fixed._replace(coefficients=row, occupations=occupations,
-                          scale=HBAR * np.abs(omegas))
+    return fixed._replace(coefficients=row, occupations=energies)
 
 
 def _check_finite(cells: List[Tuple[str, str]], finite: np.ndarray):
@@ -274,7 +272,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                    (opamps[m.line][0] if m.line in opamps else labels)
                    + [f"{g.name}_b" for g in gains[m.line]] for m in measures]
         fixed = [CompiledEstimator(m.label, srcs, None, srcs.index(m.signal),
-                                   None, None) if m.line != "muscope" else
+                                   None) if m.line != "muscope" else
                  None for m, srcs in zip(measures, sources)]
         cells = [(m.label, src) for m, srcs in zip(measures, sources)
                  for src in ["total", *srcs]]

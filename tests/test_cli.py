@@ -9,7 +9,7 @@ import pytest
 
 from qnoise.accelerometer import MUSCOPE, sensitivity_report
 from qnoise.cli import main, run
-from qnoise.constants import HBAR
+from qnoise.constants import HBAR, K_B
 from qnoise.netlist import PresetDecl, SweepDecl, parse_netlist
 from qnoise.sweep import preset_config, sweep_grid
 
@@ -73,6 +73,18 @@ class TestRun:
             expected = HBAR * 2 * math.pi * f_hz * 0.5
             assert float(cells[1]) == pytest.approx(expected, rel=1e-9)
             assert float(cells[2]) == pytest.approx(expected, rel=1e-9)
+
+    def test_hot_line_at_low_frequency(self, tmp_path):
+        # k_B T = 1.4e277 J is finite although sigma = k_B T / hbar|w|
+        # overflows: the line's energy PSD is k_B T over the whole band
+        doc = parse_netlist("line a R=50 T=1e300\nsweep 1e-10 1e-9 3 log\n"
+                            "measure a as m signal=a\n")
+        paths = run(doc, str(tmp_path), json_mirror=True)
+        records = json.loads(Path(paths["json"]).read_text())
+        band = {r["source"]: r["band_integrated"] for r in records}
+        for source in ("a", "TOTAL"):
+            assert band[source] == pytest.approx(
+                K_B * 1e300 * (1e-9 - 1e-10), rel=1e-12)
 
     def test_output_is_byte_stable(self, tmp_path):
         doc = parse_netlist((DOCS / "thermal_leak.qn").read_text())

@@ -13,12 +13,12 @@ ONE_POINT = np.array([1e3])
 def amplifier_readout(gain, occupations=(1.0, 1.0), freqs=ONE_POINT):
     """Estimator of a bare gain stage over `freqs`: G on the signal line,
     sqrt(|G|^2 - 1) on the added-noise line (conjugated, which the budget
-    does not see), read in occupation units (scale 1)."""
+    does not see), read in occupation units."""
     g = np.broadcast_to(np.asarray(gain, dtype=complex), np.shape(freqs))
     rows = np.array([g, np.sqrt(np.abs(g) ** 2 - 1.0) + 0j])
     sigma = np.array([np.broadcast_to(o, np.shape(freqs))
                       for o in occupations], dtype=float)
-    return CompiledEstimator("q", ["sig", "add"], rows, 0, sigma, 1.0)
+    return CompiledEstimator("q", ["sig", "add"], rows, 0, sigma)
 
 
 def random_estimator(rng, k, freqs):
@@ -29,7 +29,7 @@ def random_estimator(rng, k, freqs):
     rows[0] = 1.0
     sigma = rng.uniform(0.5, 10.0, (k, len(freqs)))
     return CompiledEstimator("r", [f"s{i}" for i in range(k)], rows, 0,
-                             sigma, 1.0)
+                             sigma)
 
 
 class TestNormalizeEstimator:
@@ -153,11 +153,12 @@ class TestAddedNoiseSpectrum:
         assert all(v[0] >= 0.0 for v in budget.terms.values())
 
     def test_energy_scale(self):
-        # an energy PSD: hbar|w| times the occupation budget, per frequency
+        # an energy PSD: sources carry energies, scaled per frequency
         freqs = np.array([1.0, 2.0])
         est = amplifier_readout([2.0, 2.0], freqs=freqs)
         plain = evaluate(est, freqs)
-        scaled = evaluate(est._replace(scale=np.array([3.0, 5.0])), freqs)
+        scaled = evaluate(est._replace(occupations=est.occupations
+                                       * [3.0, 5.0]), freqs)
         for lab in ("sig", "add"):
             assert (scaled.terms[lab] == [3.0, 5.0] * plain.terms[lab]).all()
 
@@ -220,7 +221,7 @@ class TestIntegrateBudget:
         """Unit coefficients on sources whose occupations are `values`."""
         rows = np.ones((len(values), len(freqs)), dtype=complex)
         return CompiledEstimator("i", [f"s{k}" for k in range(len(values))],
-                                 rows, 0, np.array(values, float), 1.0)
+                                 rows, 0, np.array(values, float))
 
     def test_constant_budget(self):
         freqs = np.linspace(10.0, 20.0, 5)

@@ -3,14 +3,14 @@ outputs, or in one `qnoise:` line on stderr.
 
 A seeded `random.Random` writes grammar-valid netlist text: 1-5 lines with
 caps and inds between them or to `gnd`, an optional op-amp, real and
-complex gains and lin or log sweeps; or the `muscope` preset with one
-override.  Now and then a cap or ind reaches an op-amp line (declared
-before the op-amp), and a line takes the name of a noise line that the
-run adds (`u0_a`, `u0_a_conj`, `g0_b`, `g1_b`).  Values come from the
-usual decades of each quantity or, for one value in eight, from anywhere
-in 1e-300..1e300.  Each netlist goes
-through `qnoise.cli.main` with RuntimeWarnings as errors (pyproject.toml),
-and the test asserts:
+complex gains and lin or log sweeps; or the `muscope` preset with 0-4
+distinct overrides, each one in the netlist or, for one in three, passed
+as `--set key=value`.  Now and then a cap or ind reaches an op-amp line
+(declared before the op-amp), and a line takes the name of a noise line
+that the run adds (`u0_a`, `u0_a_conj`, `g0_b`, `g1_b`).  Values come
+from the usual decades of each quantity or, for one value in eight, from
+anywhere in 1e-300..1e300.  Each netlist goes through `qnoise.cli.main`
+with RuntimeWarnings as errors (pyproject.toml), and the test asserts:
 - no exception escapes;
 - a non-zero exit prints exactly one `qnoise: ` line on stderr;
 - exit 0 writes no `nan` or `inf` cell;
@@ -104,21 +104,29 @@ def sweep(rng, decades):
 
 
 def preset_netlist(rng):
-    key = rng.choice(PRESET_KEYS)
-    text = [f"preset muscope {key}={number(rng, PRESET_DECADES[key])}"]
+    """The netlist lines and the `--set` overrides of a muscope case."""
+    text, sets = ["preset muscope"], []
+    for key in rng.sample(PRESET_KEYS, rng.randint(0, 4)):
+        value = f"{key}={number(rng, PRESET_DECADES[key])}"
+        if rng.random() < 1.0 / 3.0:
+            sets.append(value)
+        else:
+            text[0] += f" {value}"
     if rng.random() < 0.7:
         text.append(rng.choice(["sweep 1e-4 1e-3 3 log",
                                 sweep(rng, (-5, -2))]))
     if rng.random() < 0.5:
         text.append("measure muscope as acc signal=force")
-    return text
+    return text, sets
 
 
 def netlists():
+    """The text and the `--set` overrides of every case."""
     rng = random.Random(SEED)
     for _ in range(CASES):
-        maker = preset_netlist if rng.random() < 0.25 else passive_netlist
-        yield "\n".join(maker(rng)) + "\n"
+        text, sets = preset_netlist(rng) if rng.random() < 0.25 else (
+            passive_netlist(rng), [])
+        yield "\n".join(text) + "\n", sets
 
 
 def finite_cells(path):
@@ -134,9 +142,10 @@ def finite_cells(path):
     return True
 
 
-def check(text, tmp_path, n):
-    """The exit code of the run of `text` and what is wrong with it, or
-    None (the code is None when an exception escaped)."""
+def check(text, tmp_path, n, sets=()):
+    """The exit code of the run of `text` with the overrides `sets` and
+    what is wrong with it, or None (the code is None when an exception
+    escaped)."""
     netlist = tmp_path / "net.qn"
     netlist.write_text(text)
     parse_netlist(text)  # the generator writes only valid netlists
@@ -144,7 +153,8 @@ def check(text, tmp_path, n):
     err = io.StringIO()
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(["run", str(netlist), "--out", str(out), "--json"])
+            code = main(["run", str(netlist), "--out", str(out), "--json",
+                         *(arg for value in sets for arg in ("--set", value))])
     except Exception:  # an exception that escapes main is a failure
         return None, traceback.format_exc(limit=-1).strip().splitlines()[-1]
     lines = err.getvalue().splitlines()
@@ -166,11 +176,11 @@ def check(text, tmp_path, n):
 def test_generated_netlists_exit_cleanly(tmp_path):
     start = time.monotonic()
     failures, codes = [], []
-    for n, text in enumerate(netlists()):
-        code, problem = check(text, tmp_path, n)
+    for n, (text, sets) in enumerate(netlists()):
+        code, problem = check(text, tmp_path, n, sets)
         codes.append(code)
         if problem:
-            failures.append((text, code, problem))
+            failures.append((text, sets, code, problem))
     elapsed = time.monotonic() - start
     assert not failures, f"{len(failures)} of {CASES} failed, first: " \
         f"{failures[:3]}"

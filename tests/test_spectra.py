@@ -5,7 +5,7 @@ import pytest
 
 from qnoise.constants import HBAR, K_B
 from qnoise.errors import DomainError
-from qnoise.spectra import symmetrized_occupation
+from qnoise.spectra import symmetrized_occupation, thermal_energy
 
 # independently evaluated: coth(1) = (e^2+1)/(e^2-1)
 COTH_1 = (math.e ** 2 + 1.0) / (math.e ** 2 - 1.0)
@@ -76,3 +76,45 @@ class TestSymmetrizedOccupation:
         omegas = np.array([1.0, 10.0, 100.0])
         sigmas = symmetrized_occupation(omegas, 0.0)
         np.testing.assert_array_equal(sigmas, 0.5)
+
+
+class TestThermalEnergy:
+    def test_vacuum_is_exactly_half_a_quantum(self):
+        for omega in (1.0, -1.0, 2 * math.pi * 1e5, 1e-3, 1e300):
+            assert thermal_energy(omega, 0.0) == HBAR * abs(omega) / 2
+
+    def test_coth_points_on_both_sides_of_x_one(self):
+        # x = 1/2 and x = 2, on either side of the switch of forms at x = 1
+        for x in (0.5, 2.0):
+            omega = omega_for_ratio(2.0 * x, 300.0)
+            coth = (math.exp(2 * x) + 1.0) / (math.exp(2 * x) - 1.0)
+            assert thermal_energy(omega, 300.0) == \
+                pytest.approx(HBAR * omega / 2 * coth, rel=1e-14)
+
+    def test_classical_limit_where_x_underflows(self):
+        # hbar|w| / 2 k_B T is about 2e-321 (subnormal), or 0
+        for omega in (2 * math.pi * 1e-10, 1e-300):
+            assert thermal_energy(omega, 1e300) == K_B * 1e300
+
+    def test_occupation_is_the_energy_over_a_quantum(self):
+        omegas = np.logspace(-3, 15, 40)
+        for temperature in (0.0, 1e-3, 4.2, 300.0, 1e6):
+            np.testing.assert_allclose(
+                symmetrized_occupation(omegas, temperature),
+                thermal_energy(omegas, temperature) / (HBAR * omegas),
+                rtol=1e-15)
+
+    def test_never_below_the_vacuum_floor(self):
+        # also at temperatures whose k_B T is subnormal or 0, and huge
+        rng = np.random.default_rng(17)
+        omegas = 10.0 ** rng.uniform(-300, 300, 2000)
+        temps = 10.0 ** rng.uniform(-330, 300, 2000)
+        energy = thermal_energy(omegas, temps)
+        assert np.isfinite(energy).all()
+        assert (energy >= HBAR * omegas / 2).all()
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            thermal_energy(0.0, 300.0)
+        with pytest.raises(DomainError):
+            thermal_energy(1.0, -1.0)
