@@ -10,6 +10,8 @@ maps input line fields to output line fields and is unitary whenever Z is
 reactive.  Spectra are symmetrized occupations per line; propagation is
 incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
+`stamp_solver` is the sweep's passive path: it stamps the caps and inds,
+solves the rows over frequency in blocks and names an overflow.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ from .errors import DomainError, ModelError
 
 __all__ = [
     "NoiseLine", "ScatteringMap", "SpectrumTable",
-    "capacitor_impedance", "inductor_impedance", "impedance_matrix",
+    "capacitor_impedance", "impedance_matrix",
     "scattering_from_impedance", "stamp_solver",
     "propagate_spectra", "row_occupation",
 ]
@@ -31,6 +33,11 @@ TOL_REACTIVE = 1e-9
 
 #: condition-number guard for the (z + 1) solve
 COND_LIMIT = 1e12
+
+#: bound on temporaries: matrix entries per impedance stack of the passive
+#: solve (BLOCK_ENTRIES // n^2 frequencies); the sweep's spectra.csv cells,
+#: or passive row entries, per window; 8 x cells per piece of CSV text
+BLOCK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -182,24 +189,30 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
                          labels)
 
 
-def stamp_solver(a: np.ndarray, b: np.ndarray, lines: Sequence[NoiseLine],
+def stamp_solver(lines: Sequence[NoiseLine],
+                 elements: Sequence[Tuple[str, str, float, int, int]],
                  outputs: Sequence[str]):
-    """Rows `outputs` of S over omegas shaped (F, 1, 1) for Z(w) = A/w + wB,
-    bit for bit those of `scattering_from_impedance(A / w + w B, ...)`.  The
-    stamps `a` and `b` (caps, inds at w = 1) must be exactly imaginary and
-    symmetric, so every Z(w) is exactly anti-Hermitian: checked once, not
-    per frequency.  Blocks solve from x = D (Im A / w + w Im B) D."""
-    for name, stamp in (("capacitor", a), ("inductor", b)):
-        if stamp.real.any() or (stamp != stamp.T).any():
-            raise ModelError(f"{name} stamp is not reactive: it must be "
-                             "imaginary and symmetric")
+    """`solve(omegas)`: rows `outputs` of S over omegas (F,), shaped
+    (F, k, n), for the caps and inds `elements` (kind "cap" or "ind", name,
+    value, port i, port j; j = -1 grounds it).  Their stamps A and B at
+    w = 1 are exactly imaginary and symmetric, so every Z(w) = A/w + wB is
+    exactly anti-Hermitian, and the rows are bit for bit those of
+    `scattering_from_impedance(A / w + w B, ...)`.  Blocks of
+    BLOCK_ENTRIES // n^2 frequencies solve from x = D (Im A / w + w Im B) D;
+    a block whose x overflows is rejected by the first element whose own
+    reactance overflows there, else by the line or pair of lines."""
     labels = [line.label for line in lines]
     rows = [labels.index(label) for label in outputs]
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
-    zero = np.zeros(a.shape)  # Re z^T
-    x_a, x_b = a.imag.copy(), b.imag.copy()
+    x_a, x_b = (impedance_matrix(len(lines), [
+        (impedance(value, 1.0), i, j)
+        for kind, _, value, i, j in elements if kind == name]).imag.copy()
+        for name, impedance in (("cap", capacitor_impedance),
+                                ("ind", inductor_impedance)))
+    zero = np.zeros(x_a.shape)  # Re z^T
+    block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
 
-    def solve(w: np.ndarray) -> np.ndarray:
+    def solve_block(w: np.ndarray) -> np.ndarray:
         # rounded as numpy's complex A / w + w B is, then scaled by D; z^T
         # is solved, as D x D is not bitwise symmetric
         x = x_a * (1.0 / w)
@@ -209,13 +222,23 @@ def stamp_solver(a: np.ndarray, b: np.ndarray, lines: Sequence[NoiseLine],
         norm = np.linalg.norm(x, axis=(-2, -1))
         if not np.isfinite(norm).all() and not np.isfinite(x).all():
             f, i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
+            w, hz = w.flat[f], w.flat[f] / (2 * np.pi)
+            named = [f"{kind} {name}: its reactance"
+                     for kind, name, value, _, _ in elements
+                     if not np.isfinite(1.0 / (w * value) if kind == "cap"
+                                        else w * value)]
             where = f"line {labels[i]!r}" if i == j else \
                 f"lines {labels[i]!r} and {labels[j]!r}"
-            raise ModelError(f"{where}: the summed cap and ind reactance over "
-                             f"R overflows at {w.flat[f] / (2 * np.pi):.6g} Hz")
+            named.append(f"{where}: the summed cap and ind reactance over R")
+            raise ModelError(f"{named[0]} overflows at {hz:.6g} Hz")
         x_t = np.swapaxes(x, -1, -2)
         return _solve_rows(zero, x_t, rows, norm,
                            np.linalg.norm(x - x_t, axis=(-2, -1)))
+
+    def solve(omegas: np.ndarray) -> np.ndarray:
+        return np.concatenate([
+            solve_block(omegas[start:start + block, None, None])
+            for start in range(0, len(omegas), block)])
     return solve
 
 

@@ -6,10 +6,11 @@ estimator PSDs of field readouts are energy spectral densities
 sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` does the work that no frequency needs once: it stamps the network,
-fixes each measure's sources and signal and checks the spectra.csv header.
-It then walks the sweep in windows of frequencies and per window only
-solves the rows, evaluates each measure's `CompiledEstimator` with
+`run` does the work that no frequency needs once: it hands the passive
+lines and elements to `qnoise.network.stamp_solver`, fixes each measure's
+sources and signal and checks the spectra.csv header.  It then walks the
+sweep in windows of frequencies and per window only solves the rows,
+evaluates each measure's `CompiledEstimator` with
 `qnoise.estimator.evaluate` and writes the spectra.csv rows.  A non-finite
 budget cell raises QNoiseError and nothing is written.  The preset and
 op-amp models and json load only where a run uses them.
@@ -28,8 +29,7 @@ from .errors import QNoiseError
 from .estimator import CompiledEstimator, evaluate
 from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
     PresetDecl, SweepDecl
-from .network import NoiseLine, capacitor_impedance, impedance_matrix, \
-    inductor_impedance, stamp_solver
+from .network import BLOCK_ENTRIES, NoiseLine, stamp_solver
 from .spectra import thermal_energy
 
 if TYPE_CHECKING:
@@ -38,11 +38,6 @@ if TYPE_CHECKING:
 __all__ = ["run"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
-
-#: bound on temporaries: spectra.csv cells, or passive row entries, per
-#: window of the sweep; matrix entries per impedance stack in the passive
-#: solve (BLOCK_ENTRIES // n^2 frequencies); 8 x cells per piece of text
-BLOCK_ENTRIES = 2 ** 14
 
 
 def sweep_grid(sweep: SweepDecl) -> np.ndarray:
@@ -129,49 +124,27 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
 def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
                   opamp_by_line: Dict[str, OpAmpDecl]):
     """The line labels of the passive network (every line outside an
-    op-amp), its solver block and `rows(omegas)`, which gives per line of
-    `measures` its row (n, F) over them and their energies (n, F).  The
-    network is stamped and checked once; `rows` solves it for all passive
-    measures in blocks of BLOCK_ENTRIES impedance-matrix entries each."""
+    op-amp) and `rows(omegas)`, which gives per line of `measures` its row
+    (n, F) over them and their energies (n, F), from `stamp_solver`."""
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_by_line]
-    index = {line.label: i for i, line in enumerate(lines)}
-    caps, inds = doc.caps, doc.inds
-    ports = {}  # element name -> matrix indices of its ports, gnd is -1
-    for elem in caps + inds:
-        i, j = (-1 if port == "gnd" else index[port] for port in elem.ports)
-        ports[elem.name] = (j, -1) if i < 0 else (i, j)
+    index = {line.label: k for k, line in enumerate(lines)}
+    index["gnd"] = -1  # sorted after every line: a grounded element's j
+
+    def ports(elem) -> List[int]:
+        return sorted((index[port] for port in elem.ports), reverse=True)
+    elements = [("cap", e.name, e.capacitance, *ports(e)) for e in doc.caps] \
+        + [("ind", e.name, e.inductance, *ports(e)) for e in doc.inds]
     measured = sorted({m.line for m in measures})
-    # Z(w) = A / w + w B, stamped and checked once for the whole sweep
-    a = impedance_matrix(len(lines), [
-        (capacitor_impedance(cap.capacitance, 1.0), *ports[cap.name])
-        for cap in caps])
-    b = impedance_matrix(len(lines), [
-        (inductor_impedance(ind.inductance, 1.0), *ports[ind.name])
-        for ind in inds])
-    solve = stamp_solver(a, b, lines, measured)
-    block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
+    solve = stamp_solver(lines, elements, measured)
     temperatures = np.array([[line.temperature] for line in lines])
 
     def rows(omegas: np.ndarray) -> Dict[str, Tuple]:
-        # an element whose own reactance 1/(w C) or w L overflows is named
-        react = np.multiply.outer(omegas, [e.capacitance for e in caps]
-                                  + [e.inductance for e in inds])
-        react[:, :len(caps)] **= -1.0
-        if not np.isfinite(react).all():
-            f, k = np.unravel_index(np.argmax(~np.isfinite(react)),
-                                    react.shape)
-            raise QNoiseError(
-                f"{'cap' if k < len(caps) else 'ind'} {(caps + inds)[k].name}"
-                f": its reactance overflows at "
-                f"{omegas[f] / (2.0 * math.pi):.6g} Hz")
-        amplitude = np.concatenate([
-            solve(omegas[start:start + block, None, None])
-            for start in range(0, len(omegas), block)])
+        amplitude = solve(omegas)
         energies = thermal_energy(omegas, temperatures)
         return {line: (amplitude[:, k, :].T, energies)
                 for k, line in enumerate(measured)}
-    return list(index), block, rows
+    return [line.label for line in lines], rows
 
 
 def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
@@ -257,9 +230,9 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         "spectra.csv", "budget.csv", "budget.json")[:3 if json_mirror else 2]]
     # overflow turns into inf/nan here, which is rejected below by name
     with np.errstate(all="ignore"), _staged(paths) as write:
-        labels, block = [], 1  # the passive lines and solver block
+        labels = []  # the passive lines
         if passive:
-            labels, block, rows = _passive_rows(doc, passive, opamp_by_line)
+            labels, rows = _passive_rows(doc, passive, opamp_by_line)
         opamps = {m.line: _opamp_rows(doc, opamp_by_line[m.line], m.line)
                   for m in fields if m.line in opamp_by_line}
         gains = {m.line: [] for m in fields}  # per measured line
@@ -288,9 +261,9 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                                   "a line or a measure")
         # windows of about BLOCK_ENTRIES spectra.csv cells or passive row
         # entries, of 2 points at least (a band is the value itself only on
-        # a one-point sweep), rounded up to whole solver blocks
+        # a one-point sweep)
         width = max(len(header), len(labels) * len({m.line for m in passive}))
-        window = -(-max(2, BLOCK_ENTRIES // width) // block) * block
+        window = max(2, BLOCK_ENTRIES // width)
         budgets = [None] * len(measures)  # over the windows so far
         for start in range(0, len(freqs_hz), window):
             freqs = freqs_hz[start:start + window]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnoise import network
 from qnoise.errors import DomainError, ModelError
 from qnoise.network import (NoiseLine, ScatteringMap, SpectrumTable,
                             capacitor_impedance, impedance_matrix,
@@ -281,14 +282,14 @@ class TestPropagation:
 
 
 class TestStampSolver:
-    """The sweep's passive path checks the cap and ind stamps once and
-    solves from the real reactance; its rows must equal, bit for bit, those
-    of `scattering_from_impedance` on the complex Z(w) = A / w + w B."""
+    """The sweep's passive path stamps the caps and inds itself and solves
+    from the real reactance, in blocks; its rows must equal, bit for bit,
+    those of `scattering_from_impedance` on the complex Z(w) = A / w + w B."""
 
-    OMEGAS = 2 * math.pi * np.logspace(-3, 9, 37)[:, None, None]
+    OMEGAS = 2 * math.pi * np.logspace(-3, 9, 37)
 
     @staticmethod
-    def random_stamps(rng):
+    def random_network(rng):
         """Caps and inds between random lines or to ground, on lines whose
         resistances spread over six decades, so that D x D is not bitwise
         symmetric."""
@@ -296,14 +297,22 @@ class TestStampSolver:
         lines = [NoiseLine(10.0 ** rng.uniform(0.0, 6.0), 1.0, f"l{i}")
                  for i in range(n)]
 
-        def stamps(impedance):
-            return [(impedance(10.0 ** rng.uniform(-13.0, -3.0), 1.0),
+        def draw(kind):
+            return [(kind, f"{kind}{k}", 10.0 ** rng.uniform(-13.0, -3.0),
                      int(rng.integers(n)), int(rng.integers(-1, n)))
-                    for _ in range(int(rng.integers(0, 2 * n + 1)))]
-        a = impedance_matrix(n, stamps(capacitor_impedance))
-        b = impedance_matrix(n, stamps(inductor_impedance))
+                    for k in range(int(rng.integers(0, 2 * n + 1)))]
+        elements = draw("cap") + draw("ind")
         outputs = [f"l{i}" for i in rng.permutation(n)[:rng.integers(1, n + 1)]]
-        return a, b, lines, outputs
+        return lines, elements, outputs
+
+    @staticmethod
+    def stamps(n, elements):
+        """The cap and ind stamps A and B of `elements` at w = 1."""
+        return [impedance_matrix(n, [(impedance(value, 1.0), i, j)
+                                     for kind, _, value, i, j in elements
+                                     if kind == name])
+                for name, impedance in (("cap", capacitor_impedance),
+                                        ("ind", inductor_impedance))]
 
     @staticmethod
     def outcome(solve):
@@ -316,11 +325,13 @@ class TestStampSolver:
         rng = np.random.default_rng(2024)
         asymmetric = rejected = 0
         for _ in range(300):
-            a, b, lines, outputs = self.random_stamps(rng)
-            w = self.OMEGAS
+            lines, elements, outputs = self.random_network(rng)
+            a, b = self.stamps(len(lines), elements)
+            w = self.OMEGAS[:, None, None]
             want = self.outcome(lambda: scattering_from_impedance(
                 a / w + w * b, lines, outputs=outputs).amplitude)
-            got = self.outcome(lambda: stamp_solver(a, b, lines, outputs)(w))
+            got = self.outcome(lambda: stamp_solver(lines, elements, outputs)(
+                self.OMEGAS))
             if isinstance(want, str):
                 rejected += 1
                 assert got == want
@@ -332,18 +343,30 @@ class TestStampSolver:
         # both outcomes and the asymmetric case are exercised
         assert 300 - rejected >= 200 and rejected >= 5 and asymmetric >= 100
 
-    def test_corrupted_stamps_rejected(self):
-        lines = [NoiseLine(50.0, 1.0, f"l{i}") for i in range(2)]
-        a = impedance_matrix(2, [(capacitor_impedance(1e-9, 1.0), 0, 1)])
-        b = impedance_matrix(2, [(inductor_impedance(1e-6, 1.0), 1, -1)])
-        lossy = a.copy()
-        lossy[0, 0] += 1e-30
-        with pytest.raises(ModelError, match="capacitor stamp is not reactive"):
-            stamp_solver(lossy, b, lines, ["l0"])
-        skew = b.copy()
-        skew[0, 1] += 1j * 1e-30
-        with pytest.raises(ModelError, match="inductor stamp is not reactive"):
-            stamp_solver(a, skew, lines, ["l0"])
+    def test_blocks_equal_one_solve_per_frequency(self, monkeypatch):
+        # blocks of 8 frequencies: 37 make four whole blocks and one of 5
+        rng = np.random.default_rng(7)
+        solved = 0
+        while solved < 10:
+            lines, elements, outputs = self.random_network(rng)
+            n = len(lines)
+            single = stamp_solver(lines, elements, outputs)
+            want = self.outcome(lambda: [single(self.OMEGAS[k:k + 1])
+                                         for k in range(37)])
+            if isinstance(want, str):
+                continue
+            sizes, solve_rows = [], network._solve_rows
+
+            def counted(*args):
+                sizes.append(len(args[1]))  # frequencies in the block
+                return solve_rows(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(network, "BLOCK_ENTRIES", 8 * n * n)
+                patch.setattr(network, "_solve_rows", counted)
+                got = stamp_solver(lines, elements, outputs)(self.OMEGAS)
+            assert sizes == [8, 8, 8, 8, 5]
+            assert np.array_equal(got, np.concatenate(want))
+            solved += 1
 
     def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
         from qnoise.cli import main
