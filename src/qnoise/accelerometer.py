@@ -24,7 +24,7 @@ import numpy as np
 
 from .amplifier import capacitive_opamp
 from .constants import HBAR, K_B
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, QNoiseError
 from .estimator import CompiledEstimator, NoiseBudget, evaluate
 
 __all__ = [
@@ -91,6 +91,9 @@ class AccelerometerConfig:
         if not 0.0 < self.amp_impedance * self.r_readout < math.inf:
             raise DomainError("amp_impedance * readout_impedance is not a "
                               "positive finite double")
+        if not HBAR * self.carrier_omega > 0.0:
+            raise DomainError("carrier_omega: hbar * carrier_omega underflows "
+                              "to 0 (below the smallest double)")
 
     @property
     def r_readout(self) -> float:
@@ -208,17 +211,18 @@ class AccelerometerModel:
 
     def report(self, label: str = "force") -> SensitivityReport:
         """Noise budget and acceleration sensitivity sqrt(Sigma_FF)/M at the
-        measurement frequency: the kernel on that one-point grid."""
+        measurement frequency, all finite: the kernel on its one-point grid."""
         budget = self.budget(label=label)
         sigma_ff = budget.band_total
-        return SensitivityReport(
-            sigma_ff=sigma_ff,
-            acceleration_asd=math.sqrt(sigma_ff) / self.config.mass,
-            budget=budget,
-            dominant="/".join(budget.dominant),
-            mechanical_fraction=(budget.band[MECH] / sigma_ff
-                                 if sigma_ff > 0.0 else 0.0),
-        )
+        asd = math.sqrt(sigma_ff) / self.config.mass
+        if not math.isfinite(asd):
+            raise QNoiseError(f"estimator {label}: source acceleration_asd "
+                              "has a non-finite noise budget (numeric "
+                              "overflow)")
+        return SensitivityReport(sigma_ff, asd, budget,
+                                 "/".join(budget.dominant),
+                                 budget.band[MECH] / sigma_ff
+                                 if sigma_ff > 0.0 else 0.0)
 
 
 def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:

@@ -71,13 +71,13 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
              before: Optional[NoiseBudget] = None,
              before_hz: float = 0.0) -> NoiseBudget:
     """Budget of `est` over its grid `freqs_hz`: divides the row by the
-    signal coefficient, naming a source name taken twice, the first
-    frequency where the signal is 0 and the first source and frequency
-    where |c/s|^2 is not finite; forms |c/s|^2 times the occupations, sums the
-    sources in order and band-integrates them in one trapezoid.  A sweep
-    walked in windows passes `before`, the budget of the window that ends
-    at `before_hz`, and its band and the trapezoid from there are added;
-    its sources were checked with the first window."""
+    signal coefficient, naming a source name taken twice and the first
+    frequency where the signal is 0; forms |c/s|^2 times the occupations,
+    sums the sources in order and band-integrates them in one trapezoid.
+    A sweep walked in windows passes `before`, the budget of the window
+    that ends at `before_hz`, and its band and the trapezoid from there are
+    added; its sources were checked with the first window.  It returns
+    only finite budgets, and names the first cell that is not."""
     if before is None and len(set(est.sources)) < len(est.sources):  # O(K)
         twice = [src for src in est.sources if est.sources.count(src) > 1]
         raise QNoiseError(f"estimator {est.label}: two sources are named "
@@ -92,12 +92,6 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
     # in C order, so that the trapezoid sums each source as a 1-D call does
     terms = np.abs(np.divide(est.coefficients, signal, order="C"))
     terms **= 2
-    if not np.isfinite(terms).all():
-        k, f = np.unravel_index(np.argmin(np.isfinite(terms)), terms.shape)
-        raise QNoiseError(
-            f"estimator {est.label}: source {est.sources[k]} has a non-finite "
-            f"noise budget (numeric overflow) at {freqs_hz[f]:.6g} Hz, where "
-            "its signal-normalised coefficient |c/s|^2 overflows")
     terms *= est.occupations
     # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up
     band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
@@ -109,8 +103,23 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
             freqs_hz[0] - before_hz) * (last + terms[:, 0]) / 2.0 + band
     band = band.tolist()
     # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
-    return NoiseBudget(dict(zip(est.sources, terms)), sum(terms),
-                       dict(zip(est.sources, band)), sum(band))
+    total, band_total = sum(terms), sum(band)
+    if not (np.isfinite(total).all() and math.isfinite(band_total)):
+        # terms are >= 0; name a source or total row, else a band or TOTAL
+        finite = np.isfinite(np.vstack([terms, total]))
+        src, at = next((src for src, v in zip(est.sources, band)
+                        if not math.isfinite(v)), "TOTAL"), ""
+        if not finite.all():
+            k, f = np.unravel_index(np.argmin(finite), finite.shape)
+            src, at = [*est.sources, "total"][k], f" at {freqs_hz[f]:.6g} Hz"
+            if k < len(terms) and not np.isfinite(
+                    np.abs(est.coefficients[k, f] / signal[f]) ** 2):
+                at += (", where its signal-normalised coefficient |c/s|^2 "
+                       "overflows")
+        raise QNoiseError(f"estimator {est.label}: source {src} has a "
+                          f"non-finite noise budget (numeric overflow){at}")
+    return NoiseBudget(dict(zip(est.sources, terms)), total,
+                       dict(zip(est.sources, band)), band_total)
 
 
 def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:

@@ -43,16 +43,17 @@ BLOCK_ENTRIES = 2 ** 14
 @dataclass(frozen=True)
 class NoiseLine:
     """Semi-infinite line of characteristic impedance `resistance` (ohm)
-    at temperature `temperature` (K), terminating one network port."""
+    at temperature `temperature` (K), terminating one network port; 1/R is
+    finite too, as the solve scales by 1/sqrt(R_i R_j) in one product."""
 
     resistance: float
     temperature: float
     label: str
 
     def __post_init__(self):
-        if not (self.resistance > 0.0 and np.isfinite(self.resistance)):
-            raise DomainError(f"line {self.label!r}: impedance must be positive "
-                              f"and finite, got {self.resistance}")
+        if not (self.resistance > 0.0 and 0 < 1 / self.resistance < np.inf):
+            raise DomainError(f"line {self.label!r}: R and 1/R must be "
+                              f"positive and finite, got {self.resistance}")
         if self.temperature < 0.0:
             raise DomainError(f"line {self.label!r}: temperature must be >= 0")
 
@@ -173,7 +174,7 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     if not set(outputs) <= set(labels):
         raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
-    z = r_sqrt_inv[:, None] * z_matrix * r_sqrt_inv
+    z = z_matrix * (r_sqrt_inv[:, None] * r_sqrt_inv)  # symmetric bit for bit
     z_t = np.swapaxes(z, -1, -2)
     norm = np.linalg.norm(z, axis=(-2, -1))
     skew = np.linalg.norm(z + z_t.conj(), axis=(-2, -1))
@@ -198,27 +199,27 @@ def stamp_solver(lines: Sequence[NoiseLine],
     w = 1 are exactly imaginary and symmetric, so every Z(w) = A/w + wB is
     exactly anti-Hermitian, and the rows are bit for bit those of
     `scattering_from_impedance(A / w + w B, ...)`.  Blocks of
-    BLOCK_ENTRIES // n^2 frequencies solve from x = D (Im A / w + w Im B) D;
-    a block whose x overflows is rejected by the first element whose own
-    reactance overflows there, else by the line or pair of lines."""
+    BLOCK_ENTRIES // n^2 frequencies solve from x = (Im A / w + w Im B) dd,
+    dd_ij = d_i d_j with d = R^-1/2, so x is symmetric bit for bit; a block
+    whose x overflows is rejected by the first element whose own reactance
+    overflows there, else by the line or pair of lines."""
     labels = [line.label for line in lines]
     rows = [labels.index(label) for label in outputs]
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
+    dd = d[:, None] * d
     x_a, x_b = (impedance_matrix(len(lines), [
         (impedance(value, 1.0), i, j)
         for kind, _, value, i, j in elements if kind == name]).imag.copy()
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
-    zero = np.zeros(x_a.shape)  # Re z^T
+    zero = np.zeros(x_a.shape)  # Re z
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
 
     def solve_block(w: np.ndarray) -> np.ndarray:
-        # rounded as numpy's complex A / w + w B is, then scaled by D; z^T
-        # is solved, as D x D is not bitwise symmetric
+        # rounded as numpy's complex A / w + w B is, then scaled by dd
         x = x_a * (1.0 / w)
         x += w * x_b
-        x *= d[:, None]
-        x *= d
+        x *= dd
         norm = np.linalg.norm(x, axis=(-2, -1))
         if not np.isfinite(norm).all() and not np.isfinite(x).all():
             f, i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
@@ -231,9 +232,7 @@ def stamp_solver(lines: Sequence[NoiseLine],
                 f"lines {labels[i]!r} and {labels[j]!r}"
             named.append(f"{where}: the summed cap and ind reactance over R")
             raise ModelError(f"{named[0]} overflows at {hz:.6g} Hz")
-        x_t = np.swapaxes(x, -1, -2)
-        return _solve_rows(zero, x_t, rows, norm,
-                           np.linalg.norm(x - x_t, axis=(-2, -1)))
+        return _solve_rows(zero, x, rows, norm, 0.0)  # x^T is x
 
     def solve(omegas: np.ndarray) -> np.ndarray:
         return np.concatenate([

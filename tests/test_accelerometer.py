@@ -8,7 +8,7 @@ from qnoise.accelerometer import (AMP_A, AMP_AC, LINE_IN, LINE_OUT, MECH,
                                   MUSCOPE, build_accelerometer,
                                   mechanical_langevin_psd, sensitivity_report)
 from qnoise.constants import K_B
-from qnoise.errors import DomainError
+from qnoise.errors import DomainError, QNoiseError
 
 # independently evaluated: 2 * 1.3e-5 * k_B * 306
 MECH_PSD_REFERENCE = 1.0984443444e-25
@@ -217,6 +217,20 @@ class TestSensitivityReport:
         assert cold.sigma_ff > 0.0
         assert cold.acceleration_asd < sensitivity_report(
             MUSCOPE).acceleration_asd
+
+    def test_overflowing_langevin_force_is_named(self):
+        # 2 H_m k_B Theta_m overflows although each factor is finite: the
+        # library raises as `qnoise run` does, never returning inf or nan
+        cfg = replace(MUSCOPE, mech_damping=1e31, bath_temperature=1e300)
+        omegas = 2 * math.pi * np.logspace(-4, -3, 5)
+        with np.errstate(all="ignore"):
+            with pytest.raises(QNoiseError, match="source mechanical has a "
+                               r"non-finite noise budget \(numeric overflow\) "
+                               "at 0.0005 Hz$"):
+                sensitivity_report(cfg)
+            with pytest.raises(QNoiseError, match="source mechanical .* at "
+                               "0.0001 Hz$"):
+                build_accelerometer(cfg).budget(omegas)
 
 
 class TestFrequencyDependence:

@@ -93,6 +93,29 @@ class TestNormalizeEstimator:
             "overflow) at 2 Hz, where its signal-normalised coefficient "
             "|c/s|^2 overflows")
 
+    @pytest.mark.parametrize("occupations, freqs, named", [
+        # the product with its occupation overflows, not |c/s|^2
+        ([[1.0] * 3, [1.0, math.inf, 1.0]], [1.0, 2.0, 3.0], "add has a "
+         "non-finite noise budget (numeric overflow) at 2 Hz"),
+        ([[1e308] * 3, [1e308, 1.0, 1.0]], [1.0, 2.0, 3.0], "total has a "
+         "non-finite noise budget (numeric overflow) at 1 Hz"),
+        ([[1.0] * 2, [1e308] * 2], [0.0, 10.0], "add has a non-finite noise "
+         "budget (numeric overflow)"),
+        ([[4e307] * 2] * 3, [0.0, 1.6], "TOTAL has a non-finite noise "
+         "budget (numeric overflow)"),
+    ], ids=["source", "total", "band", "band_total"])
+    def test_first_non_finite_cell_named(self, occupations, freqs, named):
+        # source rows, then the total, each with its first frequency, then
+        # the band of each source and the band total; no budget is returned
+        # with inf or nan in it
+        occupations = np.array(occupations)
+        est = CompiledEstimator("q", ["sig", "add", "more"][:len(occupations)],
+                                np.ones(occupations.shape, complex), 0,
+                                occupations)
+        with pytest.raises(QNoiseError) as info, np.errstate(over="ignore"):
+            evaluate(est, np.array(freqs))
+        assert str(info.value) == f"estimator q: source {named}"
+
 
 class TestSweepArrays:
     """Rows, occupations and budgets carry one value per frequency."""

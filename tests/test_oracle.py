@@ -3,10 +3,11 @@
 The reactive netlists come from the fuzz generator (tests/test_fuzz.py).
 Each one that exits 0, reads a line of its passive network (the lines
 outside every op-amp) and has at most 4 passive lines and a cap or ind
-is checked here.  The test rebuilds the float x = D (Im A / w + w Im B) D
-that the run solves, with the same numpy operations, and solves
-(1 + i x^T) S^T = (i x - 1)^T for the measured rows of S exactly, by
-Gauss-Jordan elimination over complex pairs of `fractions.Fraction`.  Every
+is checked here.  The test rebuilds the float x = (Im A / w + w Im B) dd,
+dd_ij = d_i d_j with d = R^-1/2, that the run solves, with the same numpy
+operations, and solves (1 + i x^T) S^T = (i x - 1)^T for the measured rows
+of S exactly, by Gauss-Jordan elimination over complex pairs of
+`fractions.Fraction`.  Every
 passive source column, gain source column and total of spectra.csv must
 then equal the exact |c/s|^2 k_B Theta, on the run's own float energies,
 within:
@@ -75,8 +76,7 @@ def passive_x(doc, lines, omegas):
     w = omegas[:, None, None]
     x = x_a * (1.0 / w)
     x += w * x_b
-    x *= d[:, None]
-    x *= d
+    x *= d[:, None] * d
     return x
 
 
