@@ -17,8 +17,9 @@ the Bogoliubov condition exactly.  At R = R_a = sqrt(sigma_UU / sigma_II)
 the two lines are uncorrelated; away from it the anomalous a-a' correlation
 carries the difference, leaving all physical port spectra R-independent.
 `opamp_scattering` builds this map for any feedback; the sweep and the
-accelerometer take `capacitive_opamp`'s rows.  Both write the map's eight
-entries with the one closed form `_opamp_entries`.
+accelerometer take `capacitive_opamp`'s rows.  Both take the map's rows
+from the one closed form `_opamp_rows`, which lays each row out so that
+its (4, F) transpose over a sweep is contiguous.
 """
 
 import math
@@ -117,20 +118,23 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     r = decomposition_impedance
     if r <= 0.0:
         raise DomainError("decomposition impedance must be positive")
-    zf = amp.feedback_at(omega)
-    amp_mat = np.stack(np.broadcast_arrays(*_opamp_entries(
-        amp.r_left, amp.r_right, r, zf)), -1).reshape(np.shape(zf) + (2, 4))
+    amp_mat = _opamp_rows(amp.r_left, amp.r_right, r, amp.feedback_at(omega))
     conj = np.array([[False, False, False, True]] * 2)  # a' conjugated
     return ScatteringMap(amp_mat, conj, ["l", "r"], ["l", "r", "a", "a_conj"])
 
 
-def _opamp_entries(rl: float, rr: float, r: float, zf) -> tuple:
-    """The eight entries of the rows (l_out, r_out) over lines (l, r, a, a')
-    at feedback `zf` (a number, or an array over a sweep), decomposed at R."""
+def _opamp_rows(rl: float, rr: float, r: float, zf) -> np.ndarray:
+    """The rows (l_out, r_out) over lines (l, r, a, a') at feedback `zf` (a
+    number, or an array over a sweep), decomposed at R, shaped (..., 2, 4);
+    over an array of zf each row's (4, F) transpose is contiguous."""
     c, q = np.sqrt(r / rl), zf / np.sqrt(r * rr)  # q: I coefficient
     p = np.sqrt(r / rr) * (rl + zf) / rl  # U coefficient on a, a'
-    return (-1.0, 0.0, c, -c, -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q,
-            -(p + q))
+    rows = np.empty((2, 4) + np.shape(zf), complex)
+    for i, row in enumerate(((-1.0, 0.0, c, -c), (
+            -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q)))):
+        for j, entry in enumerate(row):
+            rows[i, j] = entry
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
@@ -140,8 +144,7 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
     feedback capacitor `c_feedback`, decomposed at its matched impedance
     r_a, and the flat energy k_B Theta_a of its lines a, a', rejected below
     the hbar|omega|/2 vacuum floor; `name` and `at` word the message.  The
-    rows are `opamp_scattering`'s, bit for bit; over an array of omega each
-    row's (4, F) transpose is contiguous."""
+    rows are `opamp_scattering`'s: both are `_opamp_rows`."""
     energy = K_B * theta_a
     sigma = energy / (HBAR * omega)
     low = np.flatnonzero(np.ravel(sigma) < 0.5)
@@ -156,10 +159,7 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
         raise DomainError("decomposition impedance must be positive")
     zf = capacitor_impedance(c_feedback, omega)  # i/(omega C): reactive
     zf = complex(zf) if np.ndim(zf) == 0 else zf
-    rows = np.empty((8,) + np.shape(zf), complex)
-    for k, entry in enumerate(_opamp_entries(r_left, r_right, r_a, zf)):
-        rows[k] = entry
-    return rows.reshape((2, 4) + np.shape(zf)).T.swapaxes(-1, -2), energy
+    return _opamp_rows(r_left, r_right, r_a, zf), energy
 
 
 def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,

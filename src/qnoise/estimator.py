@@ -93,14 +93,16 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
     terms = np.abs(np.divide(est.coefficients, signal, order="C"))
     terms **= 2
     terms *= est.occupations
-    # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up
+    # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up;
+    # each term is halved before the sum, which could overflow where the
+    # band does not
     band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
-            np.add.reduce(np.diff(freqs_hz) * (terms[:, 1:] + terms[:, :-1])
-                          / 2.0, axis=-1))
+            np.add.reduce(np.diff(freqs_hz) * (
+                terms[:, 1:] * 0.5 + terms[:, :-1] * 0.5), axis=-1))
     if before is not None:  # in grid order: its band, the step, this band
         last = np.array([t[-1] for t in before.terms.values()])
         band = np.fromiter(before.band.values(), float, len(last)) + (
-            freqs_hz[0] - before_hz) * (last + terms[:, 0]) / 2.0 + band
+            freqs_hz[0] - before_hz) * (last * 0.5 + terms[:, 0] * 0.5) + band
     band = band.tolist()
     # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
     total, band_total = sum(terms), sum(band)

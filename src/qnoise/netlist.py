@@ -2,9 +2,10 @@
 
 One declaration per line, `#` starts a comment, keywords are
 case-sensitive.  `_GRAMMAR` at the end of this module is the grammar: each
-keyword maps to its record, a named tuple of the values of its line's
-fields, and those fields in order, which `parse_netlist` reads and
-`format_netlist` writes back.  Numbers accept
+keyword maps to its record and the fields of its line in order, which
+`parse_netlist` reads and `format_netlist` writes back.  The record is made
+from that row: a named tuple of the values its fields keep, under the
+names they give.  Numbers accept
 scientific notation and SI suffixes k M G m u n p f, and must be finite.
 Parsing is single pass, first error wins; errors carry 1-based line and
 column positions into the source text.
@@ -12,6 +13,7 @@ column positions into the source text.
 
 import math
 import re
+from collections import namedtuple
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import QNoiseError
@@ -55,82 +57,6 @@ class NetlistParseError(QNoiseError):
         self.token = token
         self.message = message
         super().__init__(f"{line}:{column}: {message} (at {token!r})")
-
-
-class LineDecl(NamedTuple):
-    name: str
-    resistance: float
-    temperature: float
-
-
-class CapDecl(NamedTuple):
-    name: str
-    capacitance: float
-    ports: Tuple[str, str]
-
-
-class IndDecl(NamedTuple):
-    name: str
-    inductance: float
-    ports: Tuple[str, str]
-
-
-class OpAmpDecl(NamedTuple):
-    name: str
-    left: str
-    right: str
-    feedback_capacitance: float
-    amp_impedance: float
-    amp_temperature: float
-
-
-class GainDecl(NamedTuple):
-    name: str
-    input_line: str
-    gain: complex
-    noise_temperature: float
-
-
-class SweepDecl(NamedTuple):
-    f_min_hz: float
-    f_max_hz: float
-    n_points: int
-    scale: str  # "lin" | "log"
-
-
-class MeasureDecl(NamedTuple):
-    line: str
-    label: str
-    signal: str
-
-
-class PresetDecl(NamedTuple):
-    name: str
-    overrides: Tuple[Tuple[str, float], ...] = ()
-
-
-def _all_of(kind) -> property:
-    """The declarations of `kind`, in order, as a document property."""
-    return property(lambda doc: [d for d in doc.declarations
-                                 if isinstance(d, kind)])
-
-
-def _one_of(kind) -> property:
-    """The declaration of `kind`, or None, as a document property."""
-    return property(lambda doc: next((d for d in doc.declarations
-                                      if isinstance(d, kind)), None))
-
-
-class NetlistDocument(NamedTuple):
-    declarations: Tuple[object, ...]
-    lines = _all_of(LineDecl)
-    caps = _all_of(CapDecl)
-    inds = _all_of(IndDecl)
-    opamps = _all_of(OpAmpDecl)
-    gains = _all_of(GainDecl)
-    sweep = _one_of(SweepDecl)
-    measures = _all_of(MeasureDecl)
-    preset = _one_of(PresetDecl)
 
 
 class _Token(NamedTuple):
@@ -235,7 +161,7 @@ class _Parser:
                     raise _err(tok, f"expected {field.key}=<value>")
                 if not text:
                     raise _err(tok, f"expected a value after {key}=")
-            if field.show is None:  # a literal
+            if field.attr is None:  # a literal
                 if text != field.phrase:
                     raise _err(tok, f"expected {field.phrase!r}")
                 continue
@@ -245,7 +171,7 @@ class _Parser:
             raise _err(tok, "unexpected trailing token")
         self.declarations.append(record(*values))
 
-    def finish(self, rows: List[List[_Token]]) -> NetlistDocument:
+    def finish(self, rows: List[List[_Token]]) -> "NetlistDocument":
         eof = _after(rows[-1][-1], "<end of file>") if rows \
             else _Token("<end of file>", 1, 1)
         if self.preset_seen is None:
@@ -261,13 +187,15 @@ _REST = object()
 
 
 class _Field(NamedTuple):
-    """One field of a declaration line.  `key` is the `key=` prefix of its
-    token, None for a bare token, or _REST.  `phrase` is what an "expected
-    ..." message names.  `parse(parser, token, text, values)` checks the
-    text after the prefix against the values parsed so far (for _REST, the
-    items so far) and returns the value; `show(value)` writes it back.  A
-    field without `show` is the literal `phrase` and keeps no value."""
+    """One field of a declaration line.  `attr` names its value in the
+    record.  `key` is the `key=` prefix of its token, None for a bare
+    token, or _REST.  `phrase` is what an "expected ..." message names.
+    `parse(parser, token, text, values)` checks the text after the prefix
+    against the values parsed so far (for _REST, the items so far) and
+    returns the value; `show(value)` writes it back.  A field without
+    `attr` is the literal `phrase` and keeps no value."""
 
+    attr: Optional[str]
     key: object
     phrase: str
     parse: Optional[Callable]
@@ -284,8 +212,8 @@ def _bounded(tok: _Token, text: str, what: str, strict: bool = True):
     return value
 
 
-def _quantity(key: str, unit: str, strict: bool = True) -> _Field:
-    return _Field(key, f"{key}=<{unit}>", lambda p, tok, text, values:
+def _quantity(attr: str, key: str, unit: str, strict: bool = True) -> _Field:
+    return _Field(attr, key, f"{key}=<{unit}>", lambda p, tok, text, values:
                   _bounded(tok, text, key, strict), repr)
 
 
@@ -296,7 +224,7 @@ def _name(phrase: str, line: bool = False) -> _Field:
         if line:
             p.line_names.add(text)
         return text
-    return _Field(None, phrase, parse, str)
+    return _Field("name", None, phrase, parse, str)
 
 
 def _ports(p: _Parser, tok: _Token, text: str, values) -> Tuple[str, str]:
@@ -433,55 +361,96 @@ def _override(p: _Parser, tok: _Token, text: str, items) -> Tuple[str, float]:
     return key, _parse_number(tok, raw)
 
 
-_PORTS = _Field("ports", "ports=(<p1>,<p2>)", _ports,
-                lambda ports: "({},{})".format(*ports))
-
-#: the grammar: keyword -> (record, fields of its line in order)
-_GRAMMAR = {
-    "line": (LineDecl, [_name("a line name", line=True),
-                        _quantity("R", "ohm"),
-                        _quantity("T", "kelvin", strict=False)]),
-    "cap": (CapDecl, [_name("a capacitor name"), _quantity("C", "farad"),
-                      _PORTS]),
-    "ind": (IndDecl, [_name("an inductor name"), _quantity("L", "henry"),
-                      _PORTS]),
-    "opamp": (OpAmpDecl, [
-        _name("an op-amp name"),
-        _Field("left", "left=<line>", _opamp_line, str),
-        _Field("right", "right=<line>", _opamp_line, str),
-        _Field("Zf", "Zf=cap:<farad>", _feedback, lambda c: f"cap:{c!r}"),
-        _quantity("R_a", "ohm"), _quantity("Theta_a", "K")]),
-    "gain": (GainDecl, [_name("a gain-stage name"),
-                        _Field("in", "in=<line>", lambda p, tok, text, v:
-                               p.require_line(tok, text), str),
-                        _Field("G", "G=<complex>", _gain, _show_gain),
-                        _quantity("T_b", "kelvin", strict=False)]),
-    "sweep": (SweepDecl, [_Field(None, "<f_min_Hz>", _f_min, repr),
-                          _Field(None, "<f_max_Hz>", _f_max, repr),
-                          _Field(None, "<n_points>", _n_points, str),
-                          _Field(None, "lin|log", _scale, str)]),
-    "measure": (MeasureDecl, [
-        _Field(None, "a line to measure", _measured_line, str),
-        _Field(None, "as", None),
-        _Field(None, "an estimator label", _label, str),
-        _Field("signal", "signal=<line or builtin>", _signal, str)]),
-    "preset": (PresetDecl, [
-        _Field(None, "a preset name", _preset, str),
-        _Field(_REST, "key=value override", _override,
-               lambda items: " ".join(f"{k}={v!r}" for k, v in items))]),
-}
-_KEYWORD = {record: keyword for keyword, (record, _) in _GRAMMAR.items()}
-
-
 def _same_kind(a, b) -> bool:
     return type(a) is type(b) and tuple.__eq__(a, b)
 
 
-# a record equals only a record of its own kind (as tuples, a CapDecl would
-# equal the IndDecl with the same values); object.__ne__ inverts __eq__, and
-# the hash stays the tuple's
-for _record in (*_KEYWORD, NetlistDocument):
-    _record.__eq__, _record.__ne__ = _same_kind, object.__ne__
+def _record(typename: str, fields: List[_Field], defaults=()) -> tuple:
+    """A row of `_GRAMMAR`: the record `typename`, a named tuple of the
+    values of `fields` in order, and `fields`.  A record equals only a
+    record of its own kind (as tuples, a CapDecl would equal the IndDecl
+    with the same values); object.__ne__ inverts __eq__, and the hash stays
+    the tuple's."""
+    record = namedtuple(typename, [field.attr for field in fields
+                                   if field.attr], defaults=defaults)
+    record.__eq__, record.__ne__ = _same_kind, object.__ne__
+    return record, fields
+
+
+_PORTS = _Field("ports", "ports", "ports=(<p1>,<p2>)", _ports,
+                lambda ports: "({},{})".format(*ports))
+
+#: the grammar: keyword -> (record, fields of its line in order)
+_GRAMMAR = {
+    "line": _record("LineDecl", [
+        _name("a line name", line=True), _quantity("resistance", "R", "ohm"),
+        _quantity("temperature", "T", "kelvin", strict=False)]),
+    "cap": _record("CapDecl", [_name("a capacitor name"),
+                               _quantity("capacitance", "C", "farad"),
+                               _PORTS]),
+    "ind": _record("IndDecl", [_name("an inductor name"),
+                               _quantity("inductance", "L", "henry"),
+                               _PORTS]),
+    "opamp": _record("OpAmpDecl", [
+        _name("an op-amp name"),
+        _Field("left", "left", "left=<line>", _opamp_line, str),
+        _Field("right", "right", "right=<line>", _opamp_line, str),
+        _Field("feedback_capacitance", "Zf", "Zf=cap:<farad>", _feedback,
+               lambda c: f"cap:{c!r}"),
+        _quantity("amp_impedance", "R_a", "ohm"),
+        _quantity("amp_temperature", "Theta_a", "K")]),
+    "gain": _record("GainDecl", [
+        _name("a gain-stage name"),
+        _Field("input_line", "in", "in=<line>", lambda p, tok, text, v:
+               p.require_line(tok, text), str),
+        _Field("gain", "G", "G=<complex>", _gain, _show_gain),
+        _quantity("noise_temperature", "T_b", "kelvin", strict=False)]),
+    "sweep": _record("SweepDecl", [
+        _Field("f_min_hz", None, "<f_min_Hz>", _f_min, repr),
+        _Field("f_max_hz", None, "<f_max_Hz>", _f_max, repr),
+        _Field("n_points", None, "<n_points>", _n_points, str),
+        _Field("scale", None, "lin|log", _scale, str)]),
+    "measure": _record("MeasureDecl", [
+        _Field("line", None, "a line to measure", _measured_line, str),
+        _Field(None, None, "as", None),
+        _Field("label", None, "an estimator label", _label, str),
+        _Field("signal", "signal", "signal=<line or builtin>", _signal,
+               str)]),
+    "preset": _record("PresetDecl", [
+        _Field("name", None, "a preset name", _preset, str),
+        _Field("overrides", _REST, "key=value override", _override,
+               lambda items: " ".join(f"{k}={v!r}" for k, v in items))],
+        defaults=((),)),
+}
+(LineDecl, CapDecl, IndDecl, OpAmpDecl, GainDecl, SweepDecl, MeasureDecl,
+ PresetDecl) = (record for record, _ in _GRAMMAR.values())
+_KEYWORD = {record: keyword for keyword, (record, _) in _GRAMMAR.items()}
+
+
+def _all_of(kind) -> property:
+    """The declarations of `kind`, in order, as a document property."""
+    return property(lambda doc: [d for d in doc.declarations
+                                 if isinstance(d, kind)])
+
+
+def _one_of(kind) -> property:
+    """The declaration of `kind`, or None, as a document property."""
+    return property(lambda doc: next((d for d in doc.declarations
+                                      if isinstance(d, kind)), None))
+
+
+class NetlistDocument(NamedTuple):
+    declarations: Tuple[object, ...]
+    lines = _all_of(LineDecl)
+    caps = _all_of(CapDecl)
+    inds = _all_of(IndDecl)
+    opamps = _all_of(OpAmpDecl)
+    gains = _all_of(GainDecl)
+    sweep = _one_of(SweepDecl)
+    measures = _all_of(MeasureDecl)
+    preset = _one_of(PresetDecl)
+    # equal only to a document, as a record is
+    __eq__, __ne__, __hash__ = _same_kind, object.__ne__, tuple.__hash__
 
 
 def parse_netlist(text: str) -> NetlistDocument:
@@ -503,7 +472,7 @@ def format_netlist(doc: NetlistDocument) -> str:
         values = iter(decl)
         parts = [keyword]
         for field in _GRAMMAR[keyword][1]:
-            text = field.show(next(values)) if field.show else field.phrase
+            text = field.show(next(values)) if field.attr else field.phrase
             parts.append(text if field.key in (None, _REST)
                          else f"{field.key}={text}")
         out.append(" ".join(part for part in parts if part))

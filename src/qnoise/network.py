@@ -213,11 +213,13 @@ def stamp_solver(lines: Sequence[NoiseLine],
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
     zero = np.zeros(x_a.shape)  # Re z
+    stamped = x_a != 0.0  # 0 / w stays 0 where 1 / w overflows
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
 
     def solve_block(w: np.ndarray) -> np.ndarray:
         # rounded as numpy's complex A / w + w B is, then scaled by dd
-        x = x_a * (1.0 / w)
+        x = np.multiply(x_a, 1.0 / w, out=np.zeros(w.shape[:1] + x_a.shape),
+                        where=stamped)
         x += w * x_b
         x *= dd
         norm = np.linalg.norm(x, axis=(-2, -1))

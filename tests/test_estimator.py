@@ -269,6 +269,20 @@ class TestIntegrateBudget:
         budget = evaluate(self.flat([[4.0]], [100.0]), np.array([100.0]))
         assert budget.band["s0"] == 4.0
 
+    def test_terms_near_overflow_are_halved_before_they_add(self):
+        # 1e308 + 1e308 overflows, the band 0.5 Hz * 1e308 does not
+        freqs = np.array([0.0, 0.5])
+        budget = evaluate(self.flat([[1e308, 1e308]], freqs), freqs)
+        assert budget.band["s0"] == 5e307
+
+    def test_seam_to_before_is_halved_before_it_adds(self):
+        # the step from the window before, which ended at 0 Hz on 1e308
+        before = NoiseBudget({"s0": np.array([1e308])}, np.array([1e308]),
+                             {"s0": 0.0}, 0.0)
+        freqs = np.array([0.5])
+        budget = evaluate(self.flat([[1e308]], freqs), freqs, before, 0.0)
+        assert budget.band["s0"] == 5e307
+
     def test_one_trapezoid_equals_per_source_calls(self):
         # one 2-D trapezoid over (K, F) rounds as K 1-D calls do
         rng = np.random.default_rng(31)

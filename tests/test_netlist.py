@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from qnoise.netlist import (CapDecl, GainDecl, IndDecl, LineDecl, MeasureDecl,
-                            NetlistParseError, PresetDecl, SweepDecl,
-                            _GRAMMAR, format_netlist, parse_netlist)
+                            NetlistParseError, OpAmpDecl, PresetDecl,
+                            SweepDecl, _GRAMMAR, format_netlist,
+                            parse_netlist)
 
 DATA = Path(__file__).parent / "data"
 VALID_FILES = sorted((DATA / "valid").glob("*.qn"))
@@ -169,6 +170,15 @@ class TestErrors:
             parse_netlist("preset muscope bogus=1\n")
         assert "unknown preset parameter" in exc.value.message
 
+    @pytest.mark.parametrize("ports, column", [("left=gnd right=b", 10),
+                                               ("left=a right=gnd", 17)])
+    def test_opamp_ports_must_be_lines(self, ports, column):
+        with pytest.raises(NetlistParseError) as exc:
+            parse_netlist("line a R=50 T=0\nline b R=50 T=0\n"
+                          f"opamp u1 {ports} Zf=cap:1p R_a=1k Theta_a=2\n")
+        assert (exc.value.line, exc.value.column) == (3, column)
+        assert exc.value.message == "op-amp ports must be lines"
+
 
 class TestCanonicalFormat:
     def test_round_trip_equality(self):
@@ -193,6 +203,22 @@ class TestCanonicalFormat:
 
 
 class TestRecords:
+    def test_names_and_fields_in_order(self):
+        # made from the grammar table; callers read these attributes
+        assert {record.__name__: record._fields for record in (
+            LineDecl, CapDecl, IndDecl, OpAmpDecl, GainDecl, SweepDecl,
+            MeasureDecl, PresetDecl)} == {
+            "LineDecl": ("name", "resistance", "temperature"),
+            "CapDecl": ("name", "capacitance", "ports"),
+            "IndDecl": ("name", "inductance", "ports"),
+            "OpAmpDecl": ("name", "left", "right", "feedback_capacitance",
+                          "amp_impedance", "amp_temperature"),
+            "GainDecl": ("name", "input_line", "gain", "noise_temperature"),
+            "SweepDecl": ("f_min_hz", "f_max_hz", "n_points", "scale"),
+            "MeasureDecl": ("line", "label", "signal"),
+            "PresetDecl": ("name", "overrides")}
+        assert PresetDecl("muscope").overrides == ()
+
     def test_kinds_with_equal_fields_differ(self):
         cap = CapDecl("c", 1e-9, ("a", "b"))
         ind = IndDecl("c", 1e-9, ("a", "b"))

@@ -391,3 +391,16 @@ class TestStampSolver:
         netlist = tmp_path / "ladder.qn"
         netlist.write_text(text)
         assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 0
+
+    def test_unstamped_line_runs_where_one_over_w_overflows(self, tmp_path):
+        # below w of about 5.6e-309, 1 / w is inf; a line with no cap or
+        # ind has no reactance to scale, so it is the bare line, S = -1
+        from qnoise.cli import main
+        netlist = tmp_path / "low.qn"
+        netlist.write_text("line a R=50 T=1\nsweep 1e-310 1e-309 3 log\n"
+                           "measure a as m signal=a\n")
+        assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "spectra.csv").read_text().splitlines()
+        assert rows[0] == "frequency_Hz,m_total,m_a"
+        assert [row.split(",")[1:] for row in rows[1:]] == \
+            [["1.380649e-23"] * 2] * 3
