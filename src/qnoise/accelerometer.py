@@ -22,10 +22,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .amplifier import capacitive_opamp
+from .amplifier import IdealOpAmp, opamp_noise_energy, opamp_scattering
 from .constants import HBAR, K_B
 from .errors import DomainError, ModelError, QNoiseError
 from .estimator import CompiledEstimator, NoiseBudget, evaluate
+from .network import capacitor_impedance
 
 __all__ = [
     "AccelerometerConfig",
@@ -94,6 +95,9 @@ class AccelerometerConfig:
         if not HBAR * self.carrier_omega > 0.0:
             raise DomainError("carrier_omega: hbar * carrier_omega underflows "
                               "to 0 (below the smallest double)")
+        if not self.carrier_omega * self.c_feedback > 0.0:
+            raise DomainError("feedback_capacitance: carrier_omega * "
+                              "feedback_capacitance underflows to 0")
 
     @property
     def r_readout(self) -> float:
@@ -235,9 +239,12 @@ def build_accelerometer(config: AccelerometerConfig) -> AccelerometerModel:
     ideal.
     """
     cfg = config
-    amplitude, energy = capacitive_opamp(
-        cfg.amp_impedance, cfg.r_readout, cfg.c_feedback, cfg.amp_impedance,
-        cfg.amp_temperature, cfg.carrier_omega, "amplifier", "the carrier ")
+    energy = opamp_noise_energy(cfg.amp_temperature, cfg.carrier_omega,
+                                "amplifier", "the carrier ")
+    amp = IdealOpAmp(cfg.amp_impedance, cfg.r_readout, lambda w: (
+        capacitor_impedance(cfg.c_feedback, w)))
+    amplitude = opamp_scattering(amp, cfg.amp_impedance,
+                                 cfg.carrier_omega).amplitude
     row = [complex(c) for c in amplitude[1]]  # the readout line's row
     # readout gain on the input line field, per unit of mass velocity
     gain = row[0] * cfg.transducer_coupling

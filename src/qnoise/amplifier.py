@@ -16,10 +16,9 @@ for an arbitrary decomposition impedance R.  This normalization keeps
 the Bogoliubov condition exactly.  At R = R_a = sqrt(sigma_UU / sigma_II)
 the two lines are uncorrelated; away from it the anomalous a-a' correlation
 carries the difference, leaving all physical port spectra R-independent.
-`opamp_scattering` builds this map for any feedback; the sweep and the
-accelerometer take `capacitive_opamp`'s rows.  Both take the map's rows
-from the one closed form `_opamp_rows`, which lays each row out so that
-its (4, F) transpose over a sweep is contiguous.
+`opamp_scattering` builds this map for any feedback, and the sweep and the
+accelerometer take their rows from it; `opamp_noise_energy` gives the flat
+energy k_B Theta_a of the lines a, a', checked against the vacuum floor.
 """
 
 import math
@@ -30,11 +29,11 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import DomainError, ModelError
-from .network import ScatteringMap, TOL_REACTIVE, capacitor_impedance
+from .network import ScatteringMap, TOL_REACTIVE
 
 __all__ = [
     "GainStage", "OpAmpNoisePair", "IdealOpAmp",
-    "amplify_mode", "opamp_scattering", "capacitive_opamp",
+    "amplify_mode", "opamp_scattering", "opamp_noise_energy",
     "noise_line_occupations", "recombine_noise_sources",
 ]
 
@@ -109,7 +108,8 @@ def amplify_mode(stage: GainStage, omega: float) -> ScatteringMap:
 def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
                      omega: float) -> ScatteringMap:
     """Scattering rows of the ideal op-amp over lines (l, r, a, a'); an
-    array of omega gives amplitudes with a leading frequency axis.
+    array of omega gives amplitudes with a leading frequency axis, laid out
+    so that each row's (4, F) transpose is contiguous.
 
     l_out = -l_in + sqrt(R/R_l) (a - a'^dagger); r_out carries the signal
     gain -2 Z_f / sqrt(R_r R_l) on l_in, -1 on r_in, and the
@@ -118,15 +118,7 @@ def opamp_scattering(amp: IdealOpAmp, decomposition_impedance: float,
     r = decomposition_impedance
     if r <= 0.0:
         raise DomainError("decomposition impedance must be positive")
-    amp_mat = _opamp_rows(amp.r_left, amp.r_right, r, amp.feedback_at(omega))
-    conj = np.array([[False, False, False, True]] * 2)  # a' conjugated
-    return ScatteringMap(amp_mat, conj, ["l", "r"], ["l", "r", "a", "a_conj"])
-
-
-def _opamp_rows(rl: float, rr: float, r: float, zf) -> np.ndarray:
-    """The rows (l_out, r_out) over lines (l, r, a, a') at feedback `zf` (a
-    number, or an array over a sweep), decomposed at R, shaped (..., 2, 4);
-    over an array of zf each row's (4, F) transpose is contiguous."""
+    rl, rr, zf = amp.r_left, amp.r_right, amp.feedback_at(omega)
     c, q = np.sqrt(r / rl), zf / np.sqrt(r * rr)  # q: I coefficient
     p = np.sqrt(r / rr) * (rl + zf) / rl  # U coefficient on a, a'
     rows = np.empty((2, 4) + np.shape(zf), complex)
@@ -134,17 +126,17 @@ def _opamp_rows(rl: float, rr: float, r: float, zf) -> np.ndarray:
             -2.0 * zf / np.sqrt(rr * rl), -1.0, p - q, -(p + q)))):
         for j, entry in enumerate(row):
             rows[i, j] = entry
-    return np.moveaxis(rows, (0, 1), (-2, -1))
+    conj = np.array([[False, False, False, True]] * 2)  # a' conjugated
+    return ScatteringMap(np.moveaxis(rows, (0, 1), (-2, -1)), conj,
+                         ["l", "r"], ["l", "r", "a", "a_conj"])
 
 
-def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
-                     r_a: float, theta_a: float, omega, name: str,
-                     at: str = "") -> Tuple[np.ndarray, float]:
-    """Rows (left, right) over lines (l, r, a, a') of the ideal op-amp with
-    feedback capacitor `c_feedback`, decomposed at its matched impedance
-    r_a, and the flat energy k_B Theta_a of its lines a, a', rejected below
-    the hbar|omega|/2 vacuum floor; `name` and `at` word the message.  The
-    rows are `opamp_scattering`'s: both are `_opamp_rows`."""
+def opamp_noise_energy(theta_a: float, omega, name: str, at: str = "",
+                       ) -> float:
+    """The flat energy k_B Theta_a of an op-amp's noise lines a, a' at
+    omega (a number, or an array over a sweep), rejected where its
+    occupation is below the hbar|omega|/2 vacuum floor; `name` and `at`
+    word the message."""
     energy = K_B * theta_a
     sigma = energy / (HBAR * omega)
     low = np.flatnonzero(np.ravel(sigma) < 0.5)
@@ -153,13 +145,7 @@ def capacitive_opamp(r_left: float, r_right: float, c_feedback: float,
                           f"{np.ravel(sigma)[low[0]]:.3g} is below the 1/2 "
                           f"vacuum floor at {at}"
                           f"{np.ravel(omega)[low[0]] / (2.0 * math.pi):.6g} Hz")
-    if r_left <= 0.0 or r_right <= 0.0:
-        raise DomainError("line impedances must be positive")
-    if r_a <= 0.0:
-        raise DomainError("decomposition impedance must be positive")
-    zf = capacitor_impedance(c_feedback, omega)  # i/(omega C): reactive
-    zf = complex(zf) if np.ndim(zf) == 0 else zf
-    return _opamp_rows(r_left, r_right, r_a, zf), energy
+    return energy
 
 
 def noise_line_occupations(pair: OpAmpNoisePair, decomposition_impedance: float,

@@ -233,8 +233,9 @@ def _ports(p: _Parser, tok: _Token, text: str, values) -> Tuple[str, str]:
         raise _err(tok, "expected ports=(<p1>,<p2>)")
     p1 = p.require_port(tok, match.group(1))
     p2 = p.require_port(tok, match.group(2))
-    if p1 == "gnd" and p2 == "gnd":
-        raise _err(tok, "at least one port must be a line")
+    if p1 == p2:  # one line's element would be stamped as grounded
+        raise _err(tok, "at least one port must be a line" if p1 == "gnd"
+                   else "the two ports must differ")
     return p1, p2
 
 

@@ -10,8 +10,8 @@ maps input line fields to output line fields and is unitary whenever Z is
 reactive.  Spectra are symmetrized occupations per line; propagation is
 incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
-`stamp_solver` is the sweep's passive path: it stamps the caps and inds,
-solves the rows over frequency in blocks and names an overflow.
+`stamp_solver` is the sweep's passive path: it stamps the caps and inds at
+w = 1, solves the rows over frequency in blocks and names an overflow.
 """
 
 from dataclasses import dataclass, field
@@ -198,7 +198,7 @@ def stamp_solver(lines: Sequence[NoiseLine],
     value, port i, port j; j = -1 grounds it).  Their stamps A and B at
     w = 1 are exactly imaginary and symmetric, so every Z(w) = A/w + wB is
     exactly anti-Hermitian, and the rows are bit for bit those of
-    `scattering_from_impedance(A / w + w B, ...)`.  Blocks of
+    `scattering_from_impedance(i (Im A / w) + w B, ...)`.  Blocks of
     BLOCK_ENTRIES // n^2 frequencies solve from x = (Im A / w + w Im B) dd,
     dd_ij = d_i d_j with d = R^-1/2, so x is symmetric bit for bit; a block
     whose x overflows is rejected by the first element whose own reactance
@@ -213,13 +213,10 @@ def stamp_solver(lines: Sequence[NoiseLine],
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
     zero = np.zeros(x_a.shape)  # Re z
-    stamped = x_a != 0.0  # 0 / w stays 0 where 1 / w overflows
     block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
 
     def solve_block(w: np.ndarray) -> np.ndarray:
-        # rounded as numpy's complex A / w + w B is, then scaled by dd
-        x = np.multiply(x_a, 1.0 / w, out=np.zeros(w.shape[:1] + x_a.shape),
-                        where=stamped)
+        x = x_a / w  # finite wherever the reactance is; 0 / w is 0
         x += w * x_b
         x *= dd
         norm = np.linalg.norm(x, axis=(-2, -1))

@@ -6,14 +6,14 @@ estimator PSDs of field readouts are energy spectral densities
 sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` does the work that no frequency needs once: it hands the passive
-lines and elements to `qnoise.network.stamp_solver`, fixes each measure's
-sources and signal and checks the spectra.csv header.  It then walks the
-sweep in windows of frequencies and per window only solves the rows,
-evaluates each measure's `CompiledEstimator` with
-`qnoise.estimator.evaluate` and writes the spectra.csv rows.  Overflow is
-named by `evaluate` and the muscope report, and nothing is written then.
-The preset and op-amp models and json load only where a run uses them.
+`run` does the work that no frequency needs once: it hands the passive lines
+and elements to `qnoise.network.stamp_solver`, builds each op-amp's
+`IdealOpAmp`, fixes each measure's sources and signal and checks the
+spectra.csv header.  Per window of frequencies it then only solves the rows (an
+op-amp's by `opamp_scattering`), evaluates each measure's `CompiledEstimator`
+with `evaluate` and writes the spectra.csv rows.  Overflow is named by
+`evaluate` and the muscope report, and nothing is written then.  The preset and
+op-amp models and json load only where a run uses them.
 """
 
 import contextlib
@@ -29,7 +29,8 @@ from .errors import QNoiseError
 from .estimator import CompiledEstimator, evaluate
 from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
     PresetDecl, SweepDecl
-from .network import BLOCK_ENTRIES, NoiseLine, stamp_solver
+from .network import BLOCK_ENTRIES, NoiseLine, capacitor_impedance, \
+    stamp_solver
 from .spectra import thermal_energy
 
 if TYPE_CHECKING:
@@ -154,17 +155,18 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
     """The labels of an op-amp's lines and noise pair (l, r, a, a') and
     `rows(omegas)`, which gives the row (4, F) of its `line` over them and
     their energies (4, F), the noise pair's flat k_B Theta_a."""
-    from .amplifier import capacitive_opamp
+    from .amplifier import IdealOpAmp, opamp_noise_energy, opamp_scattering
     line_decls = {d.name: d for d in doc.lines}
     left, right = line_decls[decl.left], line_decls[decl.right]
     side = (decl.left, decl.right).index(line)
     temperatures = np.array([[left.temperature], [right.temperature]])
+    amp = IdealOpAmp(left.resistance, right.resistance, lambda w: (
+        capacitor_impedance(decl.feedback_capacitance, w)))
 
     def rows(omegas: np.ndarray) -> Tuple:
-        amplitude, energy = capacitive_opamp(
-            left.resistance, right.resistance, decl.feedback_capacitance,
-            decl.amp_impedance, decl.amp_temperature, omegas,
-            f"op-amp {decl.name}:")
+        energy = opamp_noise_energy(decl.amp_temperature, omegas,
+                                    f"op-amp {decl.name}:")
+        amplitude = opamp_scattering(amp, decl.amp_impedance, omegas).amplitude
         return amplitude[:, side, :].T, np.vstack([thermal_energy(
             omegas, temperatures), np.full((2, len(omegas)), energy)])
     return [decl.left, decl.right, f"{decl.name}_a",
@@ -250,11 +252,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                 raise QNoiseError(f"spectra.csv column {column!r} would hold "
                                   f"both {owners[column]} and {owner}; rename "
                                   "a line or a measure")
-        # windows of about BLOCK_ENTRIES spectra.csv cells or passive row
-        # entries, of 2 points at least (a band is the value itself only on
-        # a one-point sweep)
-        width = max(len(header), len(labels) * len({m.line for m in passive}))
-        window = max(2, BLOCK_ENTRIES // width)
+        # windows of about BLOCK_ENTRIES spectra.csv cells (more than the
+        # passive row entries), of 2 points at least (a band is the value
+        # itself only on a one-point sweep)
+        window = max(2, BLOCK_ENTRIES // len(header))
         budgets = [None] * len(measures)  # over the windows so far
         for start in range(0, len(freqs_hz), window):
             freqs = freqs_hz[start:start + window]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qnoise.amplifier import (GainStage, IdealOpAmp, OpAmpNoisePair,
-                              amplify_mode, capacitive_opamp,
-                              noise_line_occupations, opamp_scattering,
+                              amplify_mode, noise_line_occupations,
+                              opamp_noise_energy, opamp_scattering,
                               recombine_noise_sources)
 from qnoise.constants import HBAR, K_B
 from qnoise.errors import DomainError, ModelError
@@ -211,53 +211,29 @@ class TestOpAmpScattering:
 
 
 class TestCapacitiveOpAmp:
-    """`capacitive_opamp`'s closed-form rows are the general map's rows."""
-
-    @staticmethod
-    def outcome(make):
-        """The rows `make()` gives as C-order bytes with their shape, or
-        the type and text of what it raises."""
-        try:
-            rows = make()
-        except Exception as exc:  # noqa: BLE001  (compared, not hidden)
-            return type(exc), str(exc)
-        return np.shape(rows), np.ascontiguousarray(rows).tobytes()
-
-    def test_rows_bitwise_equal_to_opamp_scattering(self):
-        # values from anywhere in 1e-300..1e300, so that entries overflow,
-        # underflow or turn nan; Theta_a = 1e300 keeps the occupation above
-        # the vacuum floor at every frequency
-        rng = np.random.default_rng(20263)
-        non_finite = 0
-        with np.errstate(all="ignore"):
-            for _ in range(400):
-                r_l, r_r, c_f, r_a = 10.0 ** rng.uniform(-300, 300, 4)
-                omegas = 10.0 ** rng.uniform(-10, 12, 6)
-                for omega in (omegas, float(omegas[0])):
-                    amp = IdealOpAmp(r_l, r_r, lambda w, c=c_f:
-                                     capacitor_impedance(c, w))
-                    want = self.outcome(
-                        lambda: opamp_scattering(amp, r_a, omega).amplitude)
-                    got = self.outcome(lambda: capacitive_opamp(
-                        r_l, r_r, c_f, r_a, 1e300, omega, "op-amp u1:")[0])
-                    assert got == want, (r_l, r_r, c_f, r_a, omega)
-                    if want[0] == np.shape(omega) + (2, 4):
-                        non_finite += not np.isfinite(np.frombuffer(
-                            want[1], complex)).all()
-        assert non_finite > 100  # the draws reach inf and nan cells
+    """The op-amp with a feedback capacitor, as the sweep and the
+    accelerometer build it: `opamp_scattering`'s rows and
+    `opamp_noise_energy`."""
 
     def test_rows_at_the_reference_point(self):
+        # R_l = R_r = R_a = 1/(w C): c = 1, q = i, p = 1 + i at the carrier
         c_f = 1.0 / (OMEGA_T * 1.5e5)
         amp = IdealOpAmp(1.5e5, 1.5e5, lambda w: capacitor_impedance(c_f, w))
-        for omega in (OMEGA_T, OMEGA_T * np.logspace(-1, 1, 7)):
-            rows, energy = capacitive_opamp(1.5e5, 1.5e5, c_f, 1.5e5, 1.5,
-                                            omega, "op-amp u1:")
-            want = opamp_scattering(amp, 1.5e5, omega).amplitude
-            assert rows.shape == want.shape
-            assert rows.tobytes() == want.tobytes()
-            assert energy == K_B * 1.5
-        # each row of a sweep is contiguous over (lines, frequencies)
-        assert rows[:, 1, :].T.flags.c_contiguous
+        rows = opamp_scattering(amp, 1.5e5, OMEGA_T).amplitude
+        assert rows == pytest.approx(np.array(
+            [[-1.0, 0.0, 1.0, -1.0], [-2j, -1.0, 1.0, -1.0 - 2j]]),
+            rel=1e-15, abs=1e-15)
+        assert opamp_noise_energy(1.5, OMEGA_T, "op-amp u1:") == K_B * 1.5
+        # a sweep's rows are the rows at each of its frequencies, bit for
+        # bit, and each row is contiguous over (lines, frequencies)
+        omegas = OMEGA_T * np.logspace(-1, 1, 7)
+        sweep = opamp_scattering(amp, 1.5e5, omegas).amplitude
+        assert sweep.shape == (7, 2, 4)
+        for omega, want in zip(omegas, sweep):
+            got = opamp_scattering(amp, 1.5e5, float(omega)).amplitude
+            assert got.tobytes() == want.tobytes()
+        assert sweep[:, 1, :].T.flags.c_contiguous
+        assert opamp_noise_energy(1.5, omegas, "op-amp u1:") == K_B * 1.5
 
     @pytest.mark.parametrize("values, message", [
         ((0.0, 1e5, 1e-12, 1e5), "line impedances must be positive"),
@@ -269,17 +245,14 @@ class TestCapacitiveOpAmp:
         r_l, r_r, c_f, r_a = values
         for omega in (OMEGA_T, np.array([OMEGA_T, 2.0 * OMEGA_T])):
             with pytest.raises(DomainError) as got:
-                capacitive_opamp(r_l, r_r, c_f, r_a, 1.5, omega, "u1")
-            with pytest.raises(DomainError) as want:
                 opamp_scattering(IdealOpAmp(r_l, r_r, lambda w: (
                     capacitor_impedance(c_f, w))), r_a, omega)
-            assert str(got.value) == str(want.value) == message
+            assert str(got.value) == message
 
     def test_vacuum_floor_named_with_its_frequency(self):
         omegas = 2.0 * math.pi * np.array([1e9, 1e11, 1e12])
         with pytest.raises(DomainError) as info:
-            capacitive_opamp(1e5, 1e5, 1e-12, 1e5, 1.5, omegas, "op-amp u1:",
-                             "the sweep's ")
+            opamp_noise_energy(1.5, omegas, "op-amp u1:", "the sweep's ")
         assert str(info.value) == ("op-amp u1: noise occupation 0.313 is "
                                    "below the 1/2 vacuum floor at the "
                                    "sweep's 1e+11 Hz")

@@ -170,6 +170,17 @@ class TestErrors:
             parse_netlist("preset muscope bogus=1\n")
         assert "unknown preset parameter" in exc.value.message
 
+    @pytest.mark.parametrize("element", ["cap c2 C=1n", "ind c2 L=1u"])
+    def test_element_ports_must_differ(self, element):
+        # one line's element would be stamped once on the diagonal, as if
+        # it went to gnd
+        with pytest.raises(NetlistParseError) as exc:
+            parse_netlist("line r1 R=50 T=0\nline b R=50 T=0\n"
+                          "cap c1 C=1n ports=(r1,b)\n"
+                          f"{element} ports=(r1,r1)\n" + MINIMAL_TAIL)
+        assert (exc.value.line, exc.value.column) == (4, 13)
+        assert exc.value.message == "the two ports must differ"
+
     @pytest.mark.parametrize("ports, column", [("left=gnd right=b", 10),
                                                ("left=a right=gnd", 17)])
     def test_opamp_ports_must_be_lines(self, ports, column):

@@ -328,7 +328,7 @@ class TestStampSolver:
             a, b = self.stamps(len(lines), elements)
             w = self.OMEGAS[:, None, None]
             want = self.outcome(lambda: scattering_from_impedance(
-                a / w + w * b, lines, outputs=outputs).amplitude)
+                1j * (a.imag / w) + w * b, lines, outputs=outputs).amplitude)
             got = self.outcome(lambda: stamp_solver(lines, elements, outputs)(
                 self.OMEGAS))
             if isinstance(want, str):
@@ -337,7 +337,7 @@ class TestStampSolver:
                 continue
             assert np.array_equal(got, want)
             d = np.array([line.resistance for line in lines]) ** -0.5
-            x = (a.imag * (1.0 / w) + w * b.imag) * (d[:, None] * d)
+            x = (a.imag / w + w * b.imag) * (d[:, None] * d)
             # the system solved is 1 + i x itself: x^T is x bit for bit
             assert np.array_equal(x, np.swapaxes(x, -1, -2))
         # both outcomes are exercised
@@ -398,6 +398,20 @@ class TestStampSolver:
         from qnoise.cli import main
         netlist = tmp_path / "low.qn"
         netlist.write_text("line a R=50 T=1\nsweep 1e-310 1e-309 3 log\n"
+                           "measure a as m signal=a\n")
+        assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "spectra.csv").read_text().splitlines()
+        assert rows[0] == "frequency_Hz,m_total,m_a"
+        assert [row.split(",")[1:] for row in rows[1:]] == \
+            [["1.380649e-23"] * 2] * 3
+
+    def test_stamped_line_runs_where_one_over_w_overflows(self, tmp_path):
+        # below w of about 5.6e-309, 1 / w is inf but the cap's reactance
+        # 1 / (w C) is finite, so x is formed as x_a / w
+        from qnoise.cli import main
+        netlist = tmp_path / "low.qn"
+        netlist.write_text("line a R=50 T=1\ncap c C=1k ports=(a,gnd)\n"
+                           "sweep 1e-310 1e-309 3 log\n"
                            "measure a as m signal=a\n")
         assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 0
         rows = (tmp_path / "out" / "spectra.csv").read_text().splitlines()

@@ -62,7 +62,7 @@ def test_structure_checked_before_numerics(name, tmp_path, capsys,
     def numerics(*args, **kwargs):
         raise AssertionError("numerics reached before the structural check")
     monkeypatch.setattr("qnoise.sweep.stamp_solver", numerics)
-    monkeypatch.setattr("qnoise.amplifier.capacitive_opamp", numerics)
+    monkeypatch.setattr("qnoise.amplifier.opamp_scattering", numerics)
     path = DATA / "rejected" / f"{name}.qn"
     message = re.match(r"# expect exit=2 (.+)\n", path.read_text()).group(1)
     code, err = run_cli(path, tmp_path, capsys)
@@ -85,6 +85,18 @@ def test_non_finite_set_value(tmp_path, capsys):
     code, err = run_cli(netlist, tmp_path, capsys, "--set", "mass=1e999")
     assert code == 2
     assert "number out of range" in err
+
+
+def test_carrier_times_feedback_capacitance_underflow(tmp_path, capsys):
+    # the feedback reactance 1 / (w_c C_f) divides by a product that
+    # underflows to 0 although each factor is a positive double
+    netlist = tmp_path / "net.qn"
+    netlist.write_text("preset muscope carrier_freq_hz=1e-280 "
+                       "measure_freq_hz=1e-290 feedback_capacitance=1e-300\n")
+    code, err = run_cli(netlist, tmp_path, capsys)
+    assert code == 2
+    assert err == ("qnoise: feedback_capacitance: carrier_omega * "
+                   "feedback_capacitance underflows to 0")
 
 
 def test_overflow_names_frequency_and_cause(tmp_path, capsys):

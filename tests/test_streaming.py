@@ -76,21 +76,6 @@ def test_windows_change_no_cell(entries, tmp_path, monkeypatch):
                                         rel_tol=1e-12), (name, ref)
 
 
-@pytest.mark.parametrize("name", ["opamp_readout", "muscope"])
-def test_active_paths_build_no_general_opamp_map(name, tmp_path, monkeypatch):
-    # the sweep and the accelerometer take the closed-form op-amp rows
-    def refuse(*args, **kwargs):
-        raise AssertionError("general op-amp map built")
-    monkeypatch.setattr("qnoise.amplifier.opamp_scattering", refuse)
-    monkeypatch.setattr("qnoise.amplifier.IdealOpAmp", refuse)
-    out = tmp_path / "out"
-    assert main(["run", str(ROOT / "docs" / f"{name}.qn"), "--out",
-                 str(out)]) == 0
-    golden = ROOT / "tests" / "data" / "golden" / "docs" / name
-    for csv in ("spectra.csv", "budget.csv"):
-        assert (out / csv).read_bytes() == (golden / csv).read_bytes(), csv
-
-
 def test_late_model_error_leaves_no_directory(tmp_path, monkeypatch, capsys):
     # the ladder overflows at 8.4e7 Hz, in its last window, after the
     # earlier windows' rows went to the temporary
