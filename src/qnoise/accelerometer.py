@@ -15,7 +15,6 @@ amplitude per m/s of mass velocity); detection-term magnitudes are model
 outputs calibrated by that parameter, not measured ground truth.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -178,12 +177,7 @@ class AccelerometerModel:
         return CompiledEstimator(
             label, self.sources, np.array([1.0 / z_t] + [
                 z_m * c / z_t for c in self.detection_coefficients.values()]),
-            0, self._flat_occupations)
-
-    @functools.cached_property
-    def _flat_occupations(self) -> np.ndarray:
-        """The sources' occupations (K, 1), flat in frequency; made once."""
-        return np.array([[self.occupations[lab]] for lab in self.sources])
+            0, np.array([[self.occupations[lab]] for lab in self.sources]))
 
     def budget(self, omega=None, label: str = "force") -> NoiseBudget:
         """Force-referred noise budget at omega (default: the measurement

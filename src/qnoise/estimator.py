@@ -76,9 +76,9 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
     sums the sources in order and band-integrates them in one trapezoid.
     A sweep walked in windows passes `before`, the budget of the window
     that ends at `before_hz`, and its band and the trapezoid from there are
-    added; its sources were checked with the first window.  It returns
-    only finite budgets, and names the first cell that is not."""
-    if before is None and len(set(est.sources)) < len(est.sources):  # O(K)
+    added.  It returns only finite budgets, and names the first cell that
+    is not."""
+    if len(set(est.sources)) < len(est.sources):  # O(K)
         twice = [src for src in est.sources if est.sources.count(src) > 1]
         raise QNoiseError(f"estimator {est.label}: two sources are named "
                           f"{twice[0]!r}; rename the line that takes it")

@@ -122,7 +122,7 @@ def capacitor_impedance(value: float, omega: float) -> complex:
     """Capacitor reactance 1/(-i omega C) = i/(omega C) (quantum -i convention)."""
     if value <= 0.0:
         raise DomainError("capacitance must be positive")
-    return 1j / (omega * value)
+    return np.divide(1j, np.multiply(omega, value))
 
 
 def inductor_impedance(value: float, omega: float) -> complex:
@@ -175,6 +175,8 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
         raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
     z = z_matrix * (r_sqrt_inv[:, None] * r_sqrt_inv)  # symmetric bit for bit
+    if not np.isfinite(z).all():  # the norms below would not name it
+        raise ModelError("scaled impedance R^-1/2 Z R^-1/2 is not finite")
     z_t = np.swapaxes(z, -1, -2)
     norm = np.linalg.norm(z, axis=(-2, -1))
     skew = np.linalg.norm(z + z_t.conj(), axis=(-2, -1))

@@ -8,12 +8,12 @@ sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 
 `run` does the work that no frequency needs once: it hands the passive lines
 and elements to `qnoise.network.stamp_solver`, builds each op-amp's
-`IdealOpAmp`, fixes each measure's sources and signal and checks the
-spectra.csv header.  Per window of frequencies it then only solves the rows (an
-op-amp's by `opamp_scattering`), evaluates each measure's `CompiledEstimator`
-with `evaluate` and writes the spectra.csv rows.  Overflow is named by
-`evaluate` and the muscope report, and nothing is written then.  The preset and
-op-amp models and json load only where a run uses them.
+`IdealOpAmp`, names each measure's sources and checks the spectra.csv header.
+Per window of frequencies it then solves the rows (an op-amp's by
+`opamp_scattering`), builds each measure's `CompiledEstimator` from them,
+evaluates it with `evaluate` and writes the spectra.csv rows.  Overflow is
+named by `evaluate` and the muscope report, and nothing is written then.  The
+preset and op-amp models and json load only where a run uses them.
 """
 
 import contextlib
@@ -166,27 +166,32 @@ def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
     def rows(omegas: np.ndarray) -> Tuple:
         energy = opamp_noise_energy(decl.amp_temperature, omegas,
                                     f"op-amp {decl.name}:")
-        amplitude = opamp_scattering(amp, decl.amp_impedance, omegas).amplitude
-        return amplitude[:, side, :].T, np.vstack([thermal_energy(
+        try:
+            smap = opamp_scattering(amp, decl.amp_impedance, omegas)
+        except QNoiseError as exc:  # a feedback not finite: name its op-amp
+            raise QNoiseError(f"op-amp {decl.name}: {exc}") from None
+        return smap.amplitude[:, side, :].T, np.vstack([thermal_energy(
             omegas, temperatures), np.full((2, len(omegas)), energy)])
     return [decl.left, decl.right, f"{decl.name}_a",
             f"{decl.name}_a_conj"], rows
 
 
-def _field_estimator(fixed: CompiledEstimator, gains: List[GainDecl],
-                     row: np.ndarray, energies: np.ndarray,
+def _field_estimator(measure: MeasureDecl, sources: List[str],
+                     gains: List[GainDecl], row: np.ndarray,
+                     energies: np.ndarray,
                      omegas: np.ndarray) -> CompiledEstimator:
-    """The estimator `fixed` (its label, sources and signal) of a field
-    readout `row` (K, F) on sources of `energies` k_B Theta (K, F), through
-    the `gains` on its line.  Each gain multiplies the row, the signal with
-    it, and adds its conjugated noise line."""
+    """The estimator of `measure` on its `sources` from its line's readout
+    `row` (K, F) on sources of `energies` k_B Theta (K, F), through the
+    `gains` on its line.  Each gain multiplies the row, the signal with it,
+    and adds its conjugated noise line."""
     for g in gains:
         gain = complex(g.gain)
         row = np.vstack([gain * row, np.full(
             len(omegas), np.sqrt(np.square(abs(gain)) - 1.0))])
         energies = np.vstack([energies, thermal_energy(
             omegas, g.noise_temperature)])
-    return fixed._replace(coefficients=row, occupations=energies)
+    return CompiledEstimator(measure.label, sources, row,
+                             sources.index(measure.signal), energies)
 
 
 #: number format of every CSV cell; the golden outputs are byte-exact
@@ -238,9 +243,6 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         sources = [model.sources if m.line == "muscope" else
                    (opamps[m.line][0] if m.line in opamps else labels)
                    + [f"{g.name}_b" for g in gains[m.line]] for m in measures]
-        fixed = [CompiledEstimator(m.label, srcs, None, srcs.index(m.signal),
-                                   None) if m.line != "muscope" else
-                 None for m, srcs in zip(measures, sources)]
         header = ["frequency_Hz"] + [f"{m.label}_{src}" for m, srcs in zip(
             measures, sources) for src in ["total", *srcs]]
         owners = {}  # by column; one source named twice is left to evaluate
@@ -267,7 +269,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             for k, measure in enumerate(measures):
                 est = model.estimator(omegas, measure.label) \
                     if measure.line == "muscope" else _field_estimator(
-                        fixed[k], gains[measure.line],
+                        measure, sources[k], gains[measure.line],
                         *solved[measure.line], omegas)
                 # with the budget of the window that ends before start
                 budget = budgets[k] = evaluate(est, freqs, budgets[k],
@@ -310,10 +312,8 @@ def _csv_pieces(header: List[str], columns: List[np.ndarray]):
     table = np.asarray(columns).T
     pieces = max(1, min(len(table), -(-table.size * 8 // BLOCK_ENTRIES)))
     yield (",".join(header) + "\n").encode()
-    each, longer = divmod(len(table), pieces)  # as np.array_split cuts
-    for k in range(pieces):
-        start = k * each + min(k, longer)
-        yield _csv_rows(table[start:start + each + (k < longer)])
+    for piece in np.array_split(table, pieces):
+        yield _csv_rows(piece)
 
 
 def _csv_tables():

@@ -249,6 +249,17 @@ class TestCapacitiveOpAmp:
                     capacitor_impedance(c_f, w))), r_a, omega)
             assert str(got.value) == message
 
+    @pytest.mark.parametrize("omega", [1e-30, np.array([1e-30])],
+                             ids=["scalar", "array"])
+    def test_rejects_feedback_reactance_that_is_not_finite(self, omega):
+        # w C_f underflows to 0, so 1/(w C_f) is nan + inf i
+        amp = IdealOpAmp(50.0, 50.0, lambda w: capacitor_impedance(1e-300, w))
+        with pytest.raises(ModelError) as info, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            opamp_scattering(amp, 50.0, omega)
+        assert str(info.value) == ("feedback impedance (nan+infj) is not "
+                                   "reactive at 1.59155e-31 Hz")
+
     def test_vacuum_floor_named_with_its_frequency(self):
         omegas = 2.0 * math.pi * np.array([1e9, 1e11, 1e12])
         with pytest.raises(DomainError) as info:

@@ -79,6 +79,13 @@ class TestNormalizeEstimator:
         with pytest.raises(QNoiseError, match="two sources are named 'sig'"):
             evaluate(est, ONE_POINT)
 
+    def test_source_named_twice_rejected_after_a_window(self):
+        # a later window of a sweep is checked as the first one is
+        est = amplifier_readout(2.0)._replace(sources=["sig", "sig"])
+        before = evaluate(amplifier_readout(2.0), np.array([500.0]))
+        with pytest.raises(QNoiseError, match="two sources are named 'sig'"):
+            evaluate(est, ONE_POINT, before, 500.0)
+
     def test_non_finite_coefficient_named(self):
         # the first source, then its first frequency, where |c/s|^2 is not
         # finite

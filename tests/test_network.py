@@ -86,6 +86,18 @@ class TestScatteringFromImpedance:
         with pytest.raises(ModelError, match="not reactive"):
             scattering_from_impedance(z, [NoiseLine(50.0, 0.0, "p0")])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf,
+                                       complex(0.0, math.inf)],
+                             ids=["nan", "inf", "inf_reactance"])
+    def test_rejects_non_finite_impedance(self, entry):
+        # named before the reactivity test, whose norms skip nan
+        z = np.array([[entry, 0.0], [0.0, 1j]])
+        lines = [NoiseLine(50.0, 0.0, "p0"), NoiseLine(50.0, 0.0, "p1")]
+        with pytest.raises(ModelError) as info, np.errstate(invalid="ignore"):
+            scattering_from_impedance(z, lines)
+        assert str(info.value) == ("scaled impedance R^-1/2 Z R^-1/2 is not "
+                                   "finite")
+
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError):
             scattering_from_impedance(np.zeros((2, 2)),
