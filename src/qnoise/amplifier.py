@@ -76,7 +76,8 @@ class IdealOpAmp:
 
     def feedback_at(self, omega: float) -> complex:
         """Feedback impedance at omega (a number, or an array over a sweep)."""
-        zf = np.asarray(self.z_feedback(omega), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            zf = np.asarray(self.z_feedback(omega), dtype=complex)
         bad = ~(np.abs(zf.real) <= TOL_REACTIVE * np.abs(zf))  # or not finite
         if np.any(bad):
             hz = np.broadcast_to(omega, zf.shape)[bad][0] / (2.0 * math.pi)

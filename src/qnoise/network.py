@@ -10,8 +10,10 @@ maps input line fields to output line fields and is unitary whenever Z is
 reactive.  Spectra are symmetrized occupations per line; propagation is
 incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
-`stamp_solver` is the sweep's passive path: it stamps the caps and inds at
-w = 1, solves the rows over frequency in blocks and names an overflow.
+Rows of S come from one elimination of (z + 1)^T, planned once from the
+pattern of z: rounds of pivots, a few numpy operations each over all
+frequencies, then LAPACK on the dense tail.  `stamp_solver` is the sweep's
+passive path: it stamps the caps and inds at w = 1 and names an overflow.
 """
 
 from dataclasses import dataclass, field
@@ -34,9 +36,9 @@ TOL_REACTIVE = 1e-9
 #: condition-number guard for the (z + 1) solve
 COND_LIMIT = 1e12
 
-#: bound on temporaries: matrix entries per impedance stack of the passive
-#: solve (BLOCK_ENTRIES // n^2 frequencies); the sweep's spectra.csv cells,
-#: or passive row entries, per window; 8 x cells per piece of CSV text
+#: bound on temporaries: 4 x pattern entries per frequency block of the
+#: passive solve; the sweep's spectra.csv cells per window; 8 x cells per
+#: piece of CSV text
 BLOCK_ENTRIES = 2 ** 14
 
 
@@ -174,21 +176,25 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
     if not set(outputs) <= set(labels):
         raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
     r_sqrt_inv = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
-    z = z_matrix * (r_sqrt_inv[:, None] * r_sqrt_inv)  # symmetric bit for bit
+    with np.errstate(invalid="ignore", over="ignore"):  # named just below
+        z = z_matrix * (r_sqrt_inv[:, None] * r_sqrt_inv)  # dd is symmetric
     if not np.isfinite(z).all():  # the norms below would not name it
         raise ModelError("scaled impedance R^-1/2 Z R^-1/2 is not finite")
-    z_t = np.swapaxes(z, -1, -2)
     norm = np.linalg.norm(z, axis=(-2, -1))
-    skew = np.linalg.norm(z + z_t.conj(), axis=(-2, -1))
+    skew = np.linalg.norm(z + np.swapaxes(z, -1, -2).conj(), axis=(-2, -1))
     residual = np.max(np.divide(skew, norm, out=np.zeros_like(norm),
                                 where=norm > 0.0), initial=0.0)
     if residual > TOL_REACTIVE:
         raise ModelError(f"impedance matrix is not reactive: "
                          f"anti-Hermiticity residual {residual:.3e} "
                          f"exceeds {TOL_REACTIVE:.0e}")
-    rows = [labels.index(label) for label in outputs]
-    s = _solve_rows(z_t.real, z_t.imag, rows, norm, skew)
-    return ScatteringMap(s, np.zeros((len(rows), n), dtype=bool), outputs,
+    stack = z.reshape(-1, n, n)
+    plan = _plan((stack != 0.0).any(axis=0))
+    a = np.pad(stack[:, plan[1], plan[0]], ((0, 0), (0, 1)))  # z^T, slot 0
+    s = _eliminate(plan, a, [labels.index(label) for label in outputs],
+                   norm.reshape(-1), skew.reshape(-1))
+    return ScatteringMap(s.reshape(z.shape[:-2] + s.shape[1:]),
+                         np.zeros((len(outputs), n), dtype=bool), outputs,
                          labels)
 
 
@@ -200,11 +206,10 @@ def stamp_solver(lines: Sequence[NoiseLine],
     value, port i, port j; j = -1 grounds it).  Their stamps A and B at
     w = 1 are exactly imaginary and symmetric, so every Z(w) = A/w + wB is
     exactly anti-Hermitian, and the rows are bit for bit those of
-    `scattering_from_impedance(i (Im A / w) + w B, ...)`.  Blocks of
-    BLOCK_ENTRIES // n^2 frequencies solve from x = (Im A / w + w Im B) dd,
-    dd_ij = d_i d_j with d = R^-1/2, so x is symmetric bit for bit; a block
-    whose x overflows is rejected by the first element whose own reactance
-    overflows there, else by the line or pair of lines."""
+    `scattering_from_impedance(i (Im A / w) + w B, ...)`.  It solves from
+    the slots of x = (Im A / w + w Im B) dd, dd_ij = d_i d_j, d = R^-1/2;
+    an x that overflows is rejected by the first element whose own
+    reactance overflows there, else by the line or pair of lines."""
     labels = [line.label for line in lines]
     rows = [labels.index(label) for label in outputs]
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
@@ -214,17 +219,18 @@ def stamp_solver(lines: Sequence[NoiseLine],
         for kind, _, value, i, j in elements if kind == name]).imag.copy()
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
-    zero = np.zeros(x_a.shape)  # Re z
-    block = max(1, BLOCK_ENTRIES // len(lines) ** 2)
+    plan = _plan((x_a != 0.0) | (x_b != 0.0))
+    slot_a, slot_b, slot_dd = (m[plan[0], plan[1]] for m in (x_a, x_b, dd))
 
     def solve_block(w: np.ndarray) -> np.ndarray:
-        x = x_a / w  # finite wherever the reactance is; 0 / w is 0
-        x += w * x_b
-        x *= dd
-        norm = np.linalg.norm(x, axis=(-2, -1))
+        x = slot_a / w  # finite wherever the reactance is; 0 / w is 0
+        x += w * slot_b
+        x *= slot_dd
+        norm = np.sqrt(np.square(x).sum(axis=1))  # x has both triangles
         if not np.isfinite(norm).all() and not np.isfinite(x).all():
-            f, i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
-            w, hz = w.flat[f], w.flat[f] / (2 * np.pi)
+            w = w[np.flatnonzero(~np.isfinite(x).all(axis=1))[0], 0]
+            x = (x_a / w + w * x_b) * dd  # all of x, at the first such w
+            i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
             named = [f"{kind} {name}: its reactance"
                      for kind, name, value, _, _ in elements
                      if not np.isfinite(1.0 / (w * value) if kind == "cap"
@@ -232,33 +238,94 @@ def stamp_solver(lines: Sequence[NoiseLine],
             where = f"line {labels[i]!r}" if i == j else \
                 f"lines {labels[i]!r} and {labels[j]!r}"
             named.append(f"{where}: the summed cap and ind reactance over R")
-            raise ModelError(f"{named[0]} overflows at {hz:.6g} Hz")
-        return _solve_rows(zero, x, rows, norm, 0.0)  # x^T is x
+            raise ModelError(f"{named[0]} overflows at "
+                             f"{w / (2 * np.pi):.6g} Hz")
+        a = np.zeros((len(w), len(slot_a) + 1), dtype=complex)
+        a.imag[:, :-1] = x  # z^T = i x^T = i x at the slots, then slot 0
+        return _eliminate(plan, a, rows, norm, 0.0)
 
     def solve(omegas: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            solve_block(omegas[start:start + block, None, None])
-            for start in range(0, len(omegas), block)])
+        block = max(1, 4 * BLOCK_ENTRIES // len(slot_a))  # held in cache
+        return np.concatenate([solve_block(omegas[f:f + block, None])
+                               for f in range(0, len(omegas), block)])
     return solve
 
 
-def _solve_rows(re_t, im_t, rows, norm, skew):
-    """Rows `rows` of S from (z + 1)^T S^T = (z - 1)^T, given z^T as real and
-    imaginary parts and the Frobenius norms of z and z + z^H.  Reactive z
-    keeps its eigenvalues at unit real part, so cond(z + 1) <= (1 + |z|) /
-    (1 - |(z + z^H) / 2|); an SVD runs only where that exceeds COND_LIMIT."""
-    eye = np.eye(im_t.shape[-1])
-    system = np.empty_like(im_t, dtype=complex)  # in the layout of z^T
-    system.real, system.imag = re_t + eye, im_t
+def _plan(pattern: np.ndarray):
+    """Elimination of (z + 1)^T fixed by z's off-diagonal `pattern` alone:
+    rounds of pivots by ascending degree, pairwise >= 3 apart in the graph
+    (distinct Schur updates), until the graph left is half full: the dense
+    tail; rounds that leave at most 4 lines go on to the last.  Gives each
+    slot's row and column (pattern, fill, diagonal, then the tail's square),
+    `slot` (n + 1, n + 1; the last slot, 0, is for entries not held and the
+    pad line n), the rounds and the tail."""
+    n, graph = len(pattern), [set() for _ in pattern]
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(pattern))):
+        graph[i] |= {j} - {i}
+        graph[j] |= {i} - {j}
+    left, steps, held = set(range(n)), [], set()  # of lines eliminated
+    while left and (steps and len(left) <= 4 or
+                    sum(map(len, graph)) < 0.5 * len(left) * (len(left) - 1)):
+        near, pivots = set(), []
+        for k in sorted(left, key=lambda k: (len(graph[k]), k)):
+            if k not in near:
+                pivots.append(k)
+                near |= {k}.union(graph[k], *(graph[i] for i in graph[k]))
+        nbs = [sorted(graph[k]) for k in pivots]
+        width = max(map(len, nbs))  # padded with n, the zero slot's line
+        steps.append((np.array(pivots), np.array(
+            [v + [n] * (width - len(v)) for v in nbs], dtype=int)))
+        for k, v in zip(pivots, nbs):
+            held.update([(k, k)] + [(k, i) for i in v] + [(i, k) for i in v])
+            for i in v:
+                graph[i] |= set(v) - {i}
+                graph[i].discard(k)
+            graph[k] = set()
+            left.discard(k)
+    tail = np.array(sorted(left), dtype=int)
+    square = [(i, j) for i in tail.tolist() for j in tail.tolist()]
+    at_row, at_col = np.array(sorted(held) + square,
+                              dtype=int).reshape(-1, 2).T
+    slot = np.full((n + 1, n + 1), len(at_row))  # the last: kept 0
+    slot[at_row, at_col] = np.arange(len(at_row))
+    return at_row, at_col, slot, [
+        (k, slot[k, k], slot[nb, k[:, None]], slot[k[:, None], nb],
+         slot[nb[:, :, None], nb[:, None]], nb) for k, nb in steps], tail
+
+
+def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
+    """Rows `rows` of S from (z + 1)^T S^T = (z - 1)^T, given z^T at the
+    slots of `plan` and then 0 in `a` (F, slots + 1; overwritten) and the
+    Frobenius norms (F,) of z and z + z^H.  z + 1 has Hermitian part 1: no
+    pivot is below 1 in size, and cond(z + 1) <= (1 + |z|) / (1 - |(z +
+    z^H) / 2|); an SVD runs only where that exceeds COND_LIMIT."""
+    at_row, at_col, slot, rounds, tail = plan
+    n, m = len(slot) - 1, len(tail)
+    a.real[:, slot.diagonal()[:n]] += 1.0  # (z + 1)^T
     unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
-    cond = np.max(np.linalg.cond(np.swapaxes(system[unclear], -1, -2))) \
-        if unclear.any() else 0.0
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ModelError(f"(z + 1) is near-singular (condition {cond:.3e}); "
-                         "input impedance matrix is not consistently reactive")
-    rhs = np.empty(im_t.shape[:-1] + (len(rows),), dtype=complex)
-    rhs.real, rhs.imag = re_t[..., rows] - eye[:, rows], im_t[..., rows]
-    return np.swapaxes(np.linalg.solve(system, rhs), -1, -2)
+    if unclear.any():  # the dense z + 1 where the bound cannot clear it
+        system = np.zeros((np.count_nonzero(unclear), n, n), dtype=complex)
+        system[:, at_col, at_row] = a[unclear, :-1]
+        cond = np.max(np.linalg.cond(system))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise ModelError(f"(z + 1) is near-singular (condition "
+                             f"{cond:.3e}); input impedance matrix is not "
+                             "consistently reactive")
+    # (z - 1)^T[:, rows], and a zero row n
+    b = a[:, slot[:, rows]] - 2.0 * (np.arange(n + 1)[:, None] == rows)
+    for k, pivot, col, row, update, nb in rounds:
+        mult = a[:, col] / a[:, pivot, None]  # by division, as LAPACK does
+        a[:, update] -= mult[..., None] * a[:, row][:, :, None, :]
+        for j in range(nb.shape[1]):  # by neighbour: temporaries of b's rows
+            b[:, nb[:, j]] -= mult[:, :, j, None] * b[:, k]
+    if m:  # the tail's slots come last, row by row
+        b[:, tail] = np.linalg.solve(a[:, -1 - m * m:-1].reshape(-1, m, m),
+                                     b[:, tail])
+    for k, pivot, col, row, update, nb in reversed(rounds):
+        for j in range(nb.shape[1]):
+            b[:, k] -= a[:, row[:, j], None] * b[:, nb[:, j]]
+        b[:, k] /= a[:, pivot, None]
+    return np.swapaxes(b[:, :n], 1, 2)
 
 
 def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTable:

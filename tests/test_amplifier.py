@@ -252,10 +252,10 @@ class TestCapacitiveOpAmp:
     @pytest.mark.parametrize("omega", [1e-30, np.array([1e-30])],
                              ids=["scalar", "array"])
     def test_rejects_feedback_reactance_that_is_not_finite(self, omega):
-        # w C_f underflows to 0, so 1/(w C_f) is nan + inf i
+        # w C_f underflows to 0, so 1/(w C_f) is nan + inf i; named without
+        # a numpy warning first, under the default error state
         amp = IdealOpAmp(50.0, 50.0, lambda w: capacitor_impedance(1e-300, w))
-        with pytest.raises(ModelError) as info, \
-                np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ModelError) as info:
             opamp_scattering(amp, 50.0, omega)
         assert str(info.value) == ("feedback impedance (nan+infj) is not "
                                    "reactive at 1.59155e-31 Hz")

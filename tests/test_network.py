@@ -90,10 +90,11 @@ class TestScatteringFromImpedance:
                                        complex(0.0, math.inf)],
                              ids=["nan", "inf", "inf_reactance"])
     def test_rejects_non_finite_impedance(self, entry):
-        # named before the reactivity test, whose norms skip nan
+        # named before the reactivity test, whose norms skip nan, and
+        # without a numpy warning first
         z = np.array([[entry, 0.0], [0.0, 1j]])
         lines = [NoiseLine(50.0, 0.0, "p0"), NoiseLine(50.0, 0.0, "p1")]
-        with pytest.raises(ModelError) as info, np.errstate(invalid="ignore"):
+        with pytest.raises(ModelError) as info:
             scattering_from_impedance(z, lines)
         assert str(info.value) == ("scaled impedance R^-1/2 Z R^-1/2 is not "
                                    "finite")
@@ -355,29 +356,26 @@ class TestStampSolver:
         # both outcomes are exercised
         assert 300 - rejected >= 200 and rejected >= 5
 
-    def test_blocks_equal_one_solve_per_frequency(self, monkeypatch):
-        # blocks of 8 frequencies: 37 make four whole blocks and one of 5
+    def test_a_sweep_equals_its_frequencies_and_windows(self, monkeypatch):
+        # each frequency is eliminated on its own: the whole sweep, one
+        # frequency at a time, uneven windows and blocks of a few
+        # frequencies give the same rows
         rng = np.random.default_rng(7)
         solved = 0
         while solved < 10:
             lines, elements, outputs = self.random_network(rng)
-            n = len(lines)
-            single = stamp_solver(lines, elements, outputs)
-            want = self.outcome(lambda: [single(self.OMEGAS[k:k + 1])
-                                         for k in range(37)])
+            solve = stamp_solver(lines, elements, outputs)
+            want = self.outcome(lambda: solve(self.OMEGAS))
             if isinstance(want, str):
                 continue
-            sizes, solve_rows = [], network._solve_rows
-
-            def counted(*args):
-                sizes.append(len(args[1]))  # frequencies in the block
-                return solve_rows(*args)
+            for cuts in ([*range(38)], [0, 1, 9, 30, 37]):
+                got = np.concatenate([solve(self.OMEGAS[start:stop])
+                                      for start, stop in zip(cuts, cuts[1:])])
+                assert np.array_equal(got, want)
             with monkeypatch.context() as patch:
-                patch.setattr(network, "BLOCK_ENTRIES", 8 * n * n)
-                patch.setattr(network, "_solve_rows", counted)
+                patch.setattr(network, "BLOCK_ENTRIES", len(lines) ** 2)
                 got = stamp_solver(lines, elements, outputs)(self.OMEGAS)
-            assert sizes == [8, 8, 8, 8, 5]
-            assert np.array_equal(got, np.concatenate(want))
+            assert np.array_equal(got, want)
             solved += 1
 
     def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
@@ -430,3 +428,80 @@ class TestStampSolver:
         assert rows[0] == "frequency_Hz,m_total,m_a"
         assert [row.split(",")[1:] for row in rows[1:]] == \
             [["1.380649e-23"] * 2] * 3
+
+
+class TestEliminationShapes:
+    """The planned elimination on the shapes it has to serve, against a
+    dense solve of (1 + i x) s = (i x - 1), whose columns are the rows of S
+    (x is symmetric): long chains, a grid, dense networks, which go to the
+    dense tail whole, a line with no cap or ind, and one line."""
+
+    OMEGAS = 2 * math.pi * np.logspace(3, 8, 5)
+    SHAPES = ["ladder_120", "grid_8x8", "dense_40", "dense_3", "bare_line",
+              "one_line"]
+
+    @staticmethod
+    def network(shape, rng):
+        """Lines and caps/inds of `shape`, with values drawn from rng."""
+        n, pairs = {
+            "ladder_120": (120, [(i + 1, i) for i in range(119)]),
+            "grid_8x8": (64, [(k + step, k) for k in range(64)
+                              for step in (1, 8)
+                              if k + step < 64 and (step == 8 or k % 8 < 7)]),
+            "dense_40": (40, [(j, i) for j in range(40) for i in range(j)]),
+            "dense_3": (3, [(1, 0), (2, 0), (2, 1)]),
+            "bare_line": (3, [(1, 0)]),  # l2 has no cap or ind
+            "one_line": (1, []),
+        }[shape]
+        lines = [NoiseLine(10.0 ** rng.uniform(1.0, 3.0), 1.0, f"l{i}")
+                 for i in range(n)]
+        caps = [("cap", f"c{k}", 10.0 ** rng.uniform(-10.0, -8.0), i, j)
+                for k, (i, j) in enumerate(pairs)]
+        inds = [("ind", f"i{i}", 10.0 ** rng.uniform(-7.0, -5.0), i, -1)
+                for i in range(n) if shape != "bare_line" or i < 2]
+        return lines, caps + inds
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_match_a_dense_solve(self, shape):
+        lines, elements = self.network(shape, np.random.default_rng(26))
+        n = len(lines)
+        outputs = [f"l{i}" for i in sorted({0, n // 2, n - 1})]
+        got = stamp_solver(lines, elements, outputs)(self.OMEGAS)
+        a, b = TestStampSolver.stamps(n, elements)
+        d = 1.0 / np.sqrt([line.resistance for line in lines])  # as solved
+        w = self.OMEGAS[:, None, None]
+        x = (a.imag / w + w * b.imag) * (d[:, None] * d)
+        system = np.eye(n) + 1j * x
+        rows = [int(label[1:]) for label in outputs]
+        want = np.swapaxes(np.linalg.solve(system, 1j * x - np.eye(n))
+                           [..., rows], -1, -2)
+        error = np.linalg.norm(got - want, axis=(-2, -1))
+        # 1 + i x is normal: its singular values are |1 + i lambda(x)|; each
+        # of the two solves is within n eps cond of the exact rows
+        square = 1.0 + np.linalg.eigvalsh(x) ** 2
+        cond = np.sqrt(square.max(axis=-1) / square.min(axis=-1))
+        bound = 2 * n * np.finfo(float).eps * cond
+        assert np.all(error <= bound * np.linalg.norm(want, axis=(-2, -1)))
+        smap = ScatteringMap(got, np.zeros((len(rows), n), dtype=bool),
+                             outputs, [line.label for line in lines])
+        assert np.max(smap.row_residuals()) <= 1e-12
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_plan_depends_on_the_pattern_only(self, shape):
+        plans = []
+        for seed in (1, 2):
+            lines, elements = self.network(shape, np.random.default_rng(seed))
+            a, b = TestStampSolver.stamps(len(lines), elements)
+            plans.append(network._plan((a != 0.0) | (b != 0.0)))
+        (rows, cols, slot, rounds, tail), other = plans
+        assert len(rounds) == len(other[3])
+        for got, want in zip([rows, cols, slot, tail, *sum(rounds, ())],
+                             [*other[:3], other[4], *sum(other[3], ())]):
+            assert np.array_equal(got, want)
+        # a dense network, or one line, goes whole to the dense tail; the
+        # rounds that start on a sparse one go on to its last line, and a
+        # chain or a grid takes far fewer rounds than lines
+        whole = shape.startswith("dense") or shape == "one_line"
+        assert len(tail) == (len(lines) if whole else 0 if len(lines) <= 4
+                             else len(tail))
+        assert len(rounds) <= (0 if whole else max(2, len(lines) // 4))
