@@ -10,12 +10,13 @@ maps input line fields to output line fields and is unitary whenever Z is
 reactive.  Spectra are symmetrized occupations per line; propagation is
 incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
-Rows of S come from one elimination of (z + 1)^T, planned once from the
-pattern of z: rounds of pivots, a few numpy operations each over all
-frequencies, then LAPACK on the dense tail.  `stamp_solver` is the sweep's
-passive path: it stamps the caps and inds at w = 1 and names an overflow.
+Rows of S come from one elimination of (z + 1)^T over frequency, in
+rounds planned from the pattern of z, then LAPACK on the dense tail.
+`stamp_solver` is the sweep's passive path: it stamps the caps and inds at
+w = 1 and names an overflow.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -180,6 +181,7 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
         z = z_matrix * (r_sqrt_inv[:, None] * r_sqrt_inv)  # dd is symmetric
     if not np.isfinite(z).all():  # the norms below would not name it
         raise ModelError("scaled impedance R^-1/2 Z R^-1/2 is not finite")
+    shape, z = z.shape[:-2], z.reshape(-1, n, n)
     norm = np.linalg.norm(z, axis=(-2, -1))
     skew = np.linalg.norm(z + np.swapaxes(z, -1, -2).conj(), axis=(-2, -1))
     residual = np.max(np.divide(skew, norm, out=np.zeros_like(norm),
@@ -188,14 +190,13 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
         raise ModelError(f"impedance matrix is not reactive: "
                          f"anti-Hermiticity residual {residual:.3e} "
                          f"exceeds {TOL_REACTIVE:.0e}")
-    stack = z.reshape(-1, n, n)
-    plan = _plan((stack != 0.0).any(axis=0))
-    a = np.pad(stack[:, plan[1], plan[0]], ((0, 0), (0, 1)))  # z^T, slot 0
+    plan = _plan(n, (z != 0.0).any(axis=0).tobytes())
+    a = np.zeros((len(z), len(plan[0]) + 1), dtype=complex)
+    a[:, :-1] = z[:, plan[1], plan[0]]  # z^T at the slots, then slot 0
     s = _eliminate(plan, a, [labels.index(label) for label in outputs],
-                   norm.reshape(-1), skew.reshape(-1))
-    return ScatteringMap(s.reshape(z.shape[:-2] + s.shape[1:]),
-                         np.zeros((len(outputs), n), dtype=bool), outputs,
-                         labels)
+                   norm, skew)
+    return ScatteringMap(s.reshape(shape + s.shape[1:]), np.zeros(
+        (len(outputs), n), dtype=bool), outputs, labels)
 
 
 def stamp_solver(lines: Sequence[NoiseLine],
@@ -219,7 +220,7 @@ def stamp_solver(lines: Sequence[NoiseLine],
         for kind, _, value, i, j in elements if kind == name]).imag.copy()
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
-    plan = _plan((x_a != 0.0) | (x_b != 0.0))
+    plan = _plan(len(lines), ((x_a != 0.0) | (x_b != 0.0)).tobytes())
     slot_a, slot_b, slot_dd = (m[plan[0], plan[1]] for m in (x_a, x_b, dd))
 
     def solve_block(w: np.ndarray) -> np.ndarray:
@@ -251,77 +252,81 @@ def stamp_solver(lines: Sequence[NoiseLine],
     return solve
 
 
-def _plan(pattern: np.ndarray):
-    """Elimination of (z + 1)^T fixed by z's off-diagonal `pattern` alone:
-    rounds of pivots by ascending degree, pairwise >= 3 apart in the graph
-    (distinct Schur updates), until the graph left is half full: the dense
-    tail; rounds that leave at most 4 lines go on to the last.  Gives each
-    slot's row and column (pattern, fill, diagonal, then the tail's square),
-    `slot` (n + 1, n + 1; the last slot, 0, is for entries not held and the
-    pad line n), the rounds and the tail."""
-    n, graph = len(pattern), [set() for _ in pattern]
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(pattern))):
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, pattern: bytes):
+    """Elimination of (z + 1)^T fixed by the (n, n) bool `pattern` of z:
+    rounds of pivots (k, their neighbours padded with line n) by ascending
+    degree, pairwise >= 3 apart in the graph of the lines left, so that
+    their Schur updates are distinct, while over 4 lines are left and
+    under half their pairs are joined, and then on to the last line; the
+    lines left are the dense tail.  The slots hold the entries of the
+    pivots' rows and columns, then the tail's square, row by row; `slot`
+    (n + 1, n + 1) indexes them, its last for 0."""
+    graph, held = [set() for _ in range(n)], set()
+    full = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(full | full.T))):
         graph[i] |= {j} - {i}
-        graph[j] |= {i} - {j}
-    left, steps, held = set(range(n)), [], set()  # of lines eliminated
-    while left and (steps and len(left) <= 4 or
-                    sum(map(len, graph)) < 0.5 * len(left) * (len(left) - 1)):
+    left, rounds = set(range(n)), []
+    while (m := len(left)) > 4 and 2 * sum(map(len, graph)) < m * (m - 1) \
+            or rounds and 0 < m <= 4:  # where LAPACK would cost more
         near, pivots = set(), []
         for k in sorted(left, key=lambda k: (len(graph[k]), k)):
             if k not in near:
                 pivots.append(k)
                 near |= {k}.union(graph[k], *(graph[i] for i in graph[k]))
         nbs = [sorted(graph[k]) for k in pivots]
-        width = max(map(len, nbs))  # padded with n, the zero slot's line
-        steps.append((np.array(pivots), np.array(
-            [v + [n] * (width - len(v)) for v in nbs], dtype=int)))
+        width = max(map(len, nbs))
+        rounds.append((np.array(pivots), np.array(
+            [v + [n] * (width - len(v)) for v in nbs], int).reshape(
+                len(pivots), width)))
         for k, v in zip(pivots, nbs):
             held.update([(k, k)] + [(k, i) for i in v] + [(i, k) for i in v])
             for i in v:
-                graph[i] |= set(v) - {i}
-                graph[i].discard(k)
+                graph[i] = (graph[i] | set(v)) - {i, k}
             graph[k] = set()
             left.discard(k)
-    tail = np.array(sorted(left), dtype=int)
-    square = [(i, j) for i in tail.tolist() for j in tail.tolist()]
-    at_row, at_col = np.array(sorted(held) + square,
-                              dtype=int).reshape(-1, 2).T
-    slot = np.full((n + 1, n + 1), len(at_row))  # the last: kept 0
+    tail = np.array(sorted(left), int)
+    at_row, at_col = np.array(sorted(held) + [(i, j) for i in tail.tolist()
+                                              for j in tail.tolist()],
+                              int).reshape(-1, 2).T
+    slot = np.full((n + 1, n + 1), len(at_row))
     slot[at_row, at_col] = np.arange(len(at_row))
-    return at_row, at_col, slot, [
-        (k, slot[k, k], slot[nb, k[:, None]], slot[k[:, None], nb],
-         slot[nb[:, :, None], nb[:, None]], nb) for k, nb in steps], tail
+    return at_row, at_col, slot, [  # and the slots each round reads
+        (k, nb, slot[k, k], slot[nb, k[:, None]], slot[k[:, None], nb],
+         slot[nb[:, :, None], nb[:, None]]) for k, nb in rounds], tail
 
 
 def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
     """Rows `rows` of S from (z + 1)^T S^T = (z - 1)^T, given z^T at the
-    slots of `plan` and then 0 in `a` (F, slots + 1; overwritten) and the
-    Frobenius norms (F,) of z and z + z^H.  z + 1 has Hermitian part 1: no
-    pivot is below 1 in size, and cond(z + 1) <= (1 + |z|) / (1 - |(z +
-    z^H) / 2|); an SVD runs only where that exceeds COND_LIMIT."""
+    slots of `plan`, then 0, in `a` (F, slots + 1; overwritten) and the
+    Frobenius norms (F,) of z and z + z^H.  The Hermitian part of z + 1 is
+    at least 1 - |(z + z^H) / 2|, which bounds its pivots from below and
+    cond(z + 1) by (1 + |z|) / (1 - |(z + z^H) / 2|); where that bound
+    exceeds COND_LIMIT, an SVD checks z + 1 and LAPACK solves it."""
     at_row, at_col, slot, rounds, tail = plan
-    n, m = len(slot) - 1, len(tail)
+    n = len(slot) - 1
     a.real[:, slot.diagonal()[:n]] += 1.0  # (z + 1)^T
+    # (z - 1)^T[:, rows], and a zero row n
+    b = a[:, slot[:, rows]] - 2.0 * (np.arange(n + 1)[:, None] == rows)
     unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
-    if unclear.any():  # the dense z + 1 where the bound cannot clear it
-        system = np.zeros((np.count_nonzero(unclear), n, n), dtype=complex)
-        system[:, at_col, at_row] = a[unclear, :-1]
+    if unclear.any():
+        system = a[unclear][:, slot[:n, :n]]
         cond = np.max(np.linalg.cond(system))
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ModelError(f"(z + 1) is near-singular (condition "
                              f"{cond:.3e}); input impedance matrix is not "
                              "consistently reactive")
-    # (z - 1)^T[:, rows], and a zero row n
-    b = a[:, slot[:, rows]] - 2.0 * (np.arange(n + 1)[:, None] == rows)
-    for k, pivot, col, row, update, nb in rounds:
+        b[unclear, :n] = np.linalg.solve(system, b[unclear, :n])
+        a[unclear] = np.isin(range(a.shape[1]), slot.diagonal()[:n])  # 1
+    for k, nb, pivot, col, row, update in rounds:
         mult = a[:, col] / a[:, pivot, None]  # by division, as LAPACK does
         a[:, update] -= mult[..., None] * a[:, row][:, :, None, :]
         for j in range(nb.shape[1]):  # by neighbour: temporaries of b's rows
             b[:, nb[:, j]] -= mult[:, :, j, None] * b[:, k]
-    if m:  # the tail's slots come last, row by row
+    if m := len(tail):  # its square is in the last slots, row by row
         b[:, tail] = np.linalg.solve(a[:, -1 - m * m:-1].reshape(-1, m, m),
                                      b[:, tail])
-    for k, pivot, col, row, update, nb in reversed(rounds):
+    for k, nb, pivot, col, row, update in reversed(rounds):
         for j in range(nb.shape[1]):
             b[:, k] -= a[:, row[:, j], None] * b[:, nb[:, j]]
         b[:, k] /= a[:, pivot, None]
