@@ -104,8 +104,9 @@ def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
         band = np.fromiter(before.band.values(), float, len(last)) + (
             freqs_hz[0] - before_hz) * (last * 0.5 + terms[:, 0] * 0.5) + band
     band = band.tolist()
-    # sum() adds the sources in order; terms.sum(0) rounds otherwise at F = 1
-    total, band_total = sum(terms), sum(band)
+    # the sources in order at every F; terms.sum(0) pairs them at F = 1
+    total = np.add.accumulate(terms, axis=0)[-1].copy()  # frees the rest
+    band_total = sum(band)
     if not (np.isfinite(total).all() and math.isfinite(band_total)):
         # terms are >= 0; name a source or total row, else a band or TOTAL
         finite = np.isfinite(np.vstack([terms, total]))

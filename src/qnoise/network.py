@@ -38,7 +38,7 @@ TOL_REACTIVE = 1e-9
 COND_LIMIT = 1e12
 
 #: bound on temporaries: 4 x pattern entries per frequency block of the
-#: passive solve; the sweep's spectra.csv cells per window; 8 x cells per
+#: passive solve; the sweep's spectra.csv cells per window; 4 x cells per
 #: piece of CSV text
 BLOCK_ENTRIES = 2 ** 14
 
@@ -203,7 +203,8 @@ def stamp_solver(lines: Sequence[NoiseLine],
                  elements: Sequence[Tuple[str, str, float, int, int]],
                  outputs: Sequence[str]):
     """`solve(omegas)`: rows `outputs` of S over omegas (F,), shaped
-    (F, k, n), for the caps and inds `elements` (kind "cap" or "ind", name,
+    (F, k, n) as a view of (k, n, F), so that each row is contiguous over
+    frequency, for the caps and inds `elements` (kind "cap" or "ind", name,
     value, port i, port j; j = -1 grounds it).  Their stamps A and B at
     w = 1 are exactly imaginary and symmetric, so every Z(w) = A/w + wB is
     exactly anti-Hermitian, and the rows are bit for bit those of
@@ -224,31 +225,35 @@ def stamp_solver(lines: Sequence[NoiseLine],
     slot_a, slot_b, slot_dd = (m[plan[0], plan[1]] for m in (x_a, x_b, dd))
 
     def solve_block(w: np.ndarray) -> np.ndarray:
-        x = slot_a / w  # finite wherever the reactance is; 0 / w is 0
-        x += w * slot_b
-        x *= slot_dd
-        norm = np.sqrt(np.square(x).sum(axis=1))  # x has both triangles
-        if not np.isfinite(norm).all() and not np.isfinite(x).all():
-            w = w[np.flatnonzero(~np.isfinite(x).all(axis=1))[0], 0]
-            x = (x_a / w + w * x_b) * dd  # all of x, at the first such w
-            i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
-            named = [f"{kind} {name}: its reactance"
-                     for kind, name, value, _, _ in elements
-                     if not np.isfinite(1.0 / (w * value) if kind == "cap"
-                                        else w * value)]
-            where = f"line {labels[i]!r}" if i == j else \
-                f"lines {labels[i]!r} and {labels[j]!r}"
-            named.append(f"{where}: the summed cap and ind reactance over R")
-            raise ModelError(f"{named[0]} overflows at "
-                             f"{w / (2 * np.pi):.6g} Hz")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = slot_a / w  # finite wherever the reactance is; 0 / w is 0
+            x += w * slot_b
+            x *= slot_dd
+            norm = np.sqrt(np.square(x).sum(axis=1))  # x has both triangles
+            if not np.isfinite(norm).all() and not np.isfinite(x).all():
+                w = w[np.flatnonzero(~np.isfinite(x).all(axis=1))[0], 0]
+                x = (x_a / w + w * x_b) * dd  # all of x, at the first such w
+                i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
+                named = [f"{kind} {name}: its reactance"
+                         for kind, name, value, _, _ in elements
+                         if not np.isfinite(1.0 / (w * value) if kind == "cap"
+                                            else w * value)]
+                where = f"line {labels[i]!r}" if i == j else \
+                    f"lines {labels[i]!r} and {labels[j]!r}"
+                named += [f"{where}: the summed cap and ind reactance over R"]
+                raise ModelError(f"{named[0]} overflows at "
+                                 f"{w / (2 * np.pi):.6g} Hz")
         a = np.zeros((len(w), len(slot_a) + 1), dtype=complex)
         a.imag[:, :-1] = x  # z^T = i x^T = i x at the slots, then slot 0
         return _eliminate(plan, a, rows, norm, 0.0)
 
     def solve(omegas: np.ndarray) -> np.ndarray:
         block = max(1, 4 * BLOCK_ENTRIES // len(slot_a))  # held in cache
-        return np.concatenate([solve_block(omegas[f:f + block, None])
-                               for f in range(0, len(omegas), block)])
+        s = np.empty((len(rows), len(lines), len(omegas)), dtype=complex)
+        for f in range(0, len(omegas), block):  # each row contiguous in F
+            s[:, :, f:f + block] = solve_block(
+                omegas[f:f + block, None]).transpose(1, 2, 0)
+        return s.transpose(2, 0, 1)  # (F, k, n)
     return solve
 
 
@@ -306,8 +311,8 @@ def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
     at_row, at_col, slot, rounds, tail = plan
     n = len(slot) - 1
     a.real[:, slot.diagonal()[:n]] += 1.0  # (z + 1)^T
-    # (z - 1)^T[:, rows], and a zero row n
-    b = a[:, slot[:, rows]] - 2.0 * (np.arange(n + 1)[:, None] == rows)
+    b = a[:, slot[:, rows]]  # (z - 1)^T[:, rows], and a zero row n
+    b[:, rows, range(len(rows))] -= 2.0
     unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
     if unclear.any():
         system = a[unclear][:, slot[:n, :n]]
@@ -321,15 +326,18 @@ def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
     for k, nb, pivot, col, row, update in rounds:
         mult = a[:, col] / a[:, pivot, None]  # by division, as LAPACK does
         a[:, update] -= mult[..., None] * a[:, row][:, :, None, :]
+        bk = b[:, k]  # no neighbour is a pivot of the round: read once
         for j in range(nb.shape[1]):  # by neighbour: temporaries of b's rows
-            b[:, nb[:, j]] -= mult[:, :, j, None] * b[:, k]
+            b[:, nb[:, j]] -= mult[:, :, j, None] * bk
     if m := len(tail):  # its square is in the last slots, row by row
         b[:, tail] = np.linalg.solve(a[:, -1 - m * m:-1].reshape(-1, m, m),
                                      b[:, tail])
     for k, nb, pivot, col, row, update in reversed(rounds):
+        bk = b[:, k]
         for j in range(nb.shape[1]):
-            b[:, k] -= a[:, row[:, j], None] * b[:, nb[:, j]]
-        b[:, k] /= a[:, pivot, None]
+            bk -= a[:, row[:, j], None] * b[:, nb[:, j]]
+        bk /= a[:, pivot, None]
+        b[:, k] = bk
     return np.swapaxes(b[:, :n], 1, 2)
 
 

@@ -307,10 +307,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):
     """spectra.csv as bytes: the header, then the rows in as few even
-    pieces of about BLOCK_ENTRIES // 8 cells as hold them, each written by
+    pieces of about BLOCK_ENTRIES // 4 cells as hold them, each written by
     `_csv_rows`."""
     table = np.asarray(columns).T
-    pieces = max(1, min(len(table), -(-table.size * 8 // BLOCK_ENTRIES)))
+    pieces = max(1, min(len(table), -(-table.size * 4 // BLOCK_ENTRIES)))
     yield (",".join(header) + "\n").encode()
     for piece in np.array_split(table, pieces):
         yield _csv_rows(piece)

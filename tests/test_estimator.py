@@ -301,12 +301,17 @@ class TestIntegrateBudget:
                                         for v in budget.terms.values())
 
     def test_one_point_totals_are_sequential_sums(self):
-        # at F = 1 the total adds the sources in order, as the records do
+        # at every F the total adds the sources in order, left to right, as
+        # the records do at F = 1
         rng = np.random.default_rng(37)
-        for _ in range(50):
-            budget = evaluate(random_estimator(rng, 41, ONE_POINT),
-                              ONE_POINT)
-            total = 0.0
-            for values in budget.terms.values():
-                total += float(values[0])
-            assert budget.total[0] == total == budget.band_total
+        for freqs, draws in ((ONE_POINT, 50), (np.array([1e3, 2e3]), 20),
+                             (np.logspace(3.0, 6.0, 201), 5)):
+            for _ in range(draws):
+                budget = evaluate(random_estimator(rng, 41, freqs), freqs)
+                for f in range(len(freqs)):
+                    total = 0.0
+                    for values in budget.terms.values():
+                        total += float(values[f])
+                    assert budget.total[f] == total
+            if len(freqs) == 1:
+                assert budget.total[0] == budget.band_total

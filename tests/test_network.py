@@ -382,6 +382,7 @@ class TestStampSolver:
             want = self.outcome(lambda: solve(self.OMEGAS))
             if isinstance(want, str):
                 continue
+            self.assert_rows_contiguous(want)
             for cuts in ([*range(38)], [0, 1, 9, 30, 37]):
                 got = np.concatenate([solve(self.OMEGAS[start:stop])
                                       for start, stop in zip(cuts, cuts[1:])])
@@ -390,7 +391,39 @@ class TestStampSolver:
                 patch.setattr(network, "BLOCK_ENTRIES", len(lines) ** 2)
                 got = stamp_solver(lines, elements, outputs)(self.OMEGAS)
             assert np.array_equal(got, want)
+            self.assert_rows_contiguous(got)
             solved += 1
+
+    @staticmethod
+    def assert_rows_contiguous(amplitude):
+        # the sweep reads each row (n, F) as amplitude[:, k, :].T
+        for k in range(amplitude.shape[1]):
+            assert amplitude[:, k, :].T.flags.c_contiguous
+
+    def test_an_empty_sweep_gives_no_rows(self):
+        # as scattering_from_impedance gives on an empty stack
+        lines = [NoiseLine(50.0, 1.0, "a"), NoiseLine(50.0, 1.0, "b")]
+        got = stamp_solver(lines, [("cap", "c", 1e-9, 1, 0)], ["b"])(
+            np.array([]))
+        want = scattering_from_impedance(np.zeros((0, 2, 2)), lines,
+                                         outputs=["b"]).amplitude
+        assert got.shape == want.shape == (0, 1, 2)
+        assert got.dtype == want.dtype
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("element, omega, message", [
+        (("cap", "c", 1e-9, 1, 0), 1e-310,
+         "cap c: its reactance overflows at 1.59155e-311 Hz"),
+        (("ind", "l", 1e-6, 1, 0), 1e308,  # its condition is LAPACK's
+         "(z + 1) is near-singular (condition ")], ids=["cap", "ind"])
+    def test_overflow_is_named_before_any_warning(self, element, omega,
+                                                  message):
+        # outside the sweep's np.errstate: a warning from forming x or its
+        # norm would stand in for the ModelError that names the fault
+        lines = [NoiseLine(50.0, 1.0, "a"), NoiseLine(50.0, 1.0, "b")]
+        with pytest.raises(ModelError) as info:
+            stamp_solver(lines, [element], ["a"])(np.array([omega]))
+        assert str(info.value).startswith(message)
 
     def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
         from qnoise.cli import main
@@ -481,6 +514,7 @@ class TestEliminationShapes:
         n = len(lines)
         outputs = [f"l{i}" for i in sorted({0, n // 2, n - 1})]
         got = stamp_solver(lines, elements, outputs)(self.OMEGAS)
+        TestStampSolver.assert_rows_contiguous(got)
         a, b = TestStampSolver.stamps(n, elements)
         d = 1.0 / np.sqrt([line.resistance for line in lines])  # as solved
         w = self.OMEGAS[:, None, None]

@@ -20,9 +20,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 # the bench workload recipes
 from workloads import ladder_text, muscope_text, opamp_text  # noqa: E402
 
-#: 3 spectra.csv columns, so 2,000 points make several pieces of text
+#: 3 spectra.csv columns, so 4,000 points make several pieces of text
 LONG_LINE = """line r1 R=50 T=1
-sweep 1 1M 2000 log
+sweep 1 1M 4000 log
 measure r1 as v signal=r1
 """
 
