@@ -313,5 +313,5 @@ class TestIntegrateBudget:
                     for values in budget.terms.values():
                         total += float(values[f])
                     assert budget.total[f] == total
-            if len(freqs) == 1:
-                assert budget.total[0] == budget.band_total
+                if len(freqs) == 1:
+                    assert budget.total[0] == budget.band_total
