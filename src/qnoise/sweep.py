@@ -6,12 +6,12 @@ estimator PSDs of field readouts are energy spectral densities
 sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 (kg m s^-2)^2/Hz and its acceleration ASD in m s^-2/sqrt(Hz).
 
-`run` does the work that no frequency needs once: it hands the passive lines
-and elements to `qnoise.network.stamp_solver`, builds each op-amp's
-`IdealOpAmp`, names each measure's sources and checks the spectra.csv header.
-Per window of frequencies it then solves the rows (an op-amp's by
-`opamp_scattering`), builds each measure's `CompiledEstimator` from them,
-evaluates it with `evaluate` and writes the spectra.csv rows.  Overflow is
+`run` builds one component per part of the measurement: the passive network
+(`stamp_solver`), each op-amp (`opamp_scattering`) and the muscope model.  Each
+names the sources of the measured lines it serves, gives their rows and
+energies once per window, and writes a measure's budget.csv rows.  `run` checks
+the spectra.csv header; per window it builds each measure's `CompiledEstimator`
+from its line's row and gains, evaluates it and writes the rows.  Overflow is
 named by `evaluate` and the muscope report, and nothing is written then.  The
 preset and op-amp models and json load only where a run uses them.
 """
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import QNoiseError
-from .estimator import CompiledEstimator, evaluate
+from .estimator import CompiledEstimator, NoiseBudget, evaluate
 from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
     PresetDecl, SweepDecl
 from .network import BLOCK_ENTRIES, NoiseLine, capacitor_impedance, \
@@ -34,7 +34,7 @@ from .network import BLOCK_ENTRIES, NoiseLine, capacitor_impedance, \
 from .spectra import thermal_energy
 
 if TYPE_CHECKING:
-    from .accelerometer import AccelerometerConfig
+    from .accelerometer import AccelerometerConfig, AccelerometerModel
 
 __all__ = ["run"]
 
@@ -127,9 +127,10 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
 
 def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
                   opamp_by_line: Dict[str, OpAmpDecl]):
-    """The line labels of the passive network (every line outside an
-    op-amp) and `rows(omegas)`, which gives per line of `measures` its row
-    (n, F) over them and their energies (n, F), from `stamp_solver`."""
+    """The passive network (every line outside an op-amp) as a component:
+    the lines of `measures` in it, their sources, the network's lines;
+    `rows(omegas)`, per such line its row (n, F) over them and their
+    energies (n, F), from `stamp_solver`; and `NoiseBudget.records`."""
     lines = [NoiseLine(d.resistance, d.temperature, d.name)
              for d in doc.lines if d.name not in opamp_by_line]
     index = {line.label: k for k, line in enumerate(lines)}
@@ -139,7 +140,7 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
         return sorted((index[port] for port in elem.ports), reverse=True)
     elements = [("cap", e.name, e.capacitance, *ports(e)) for e in doc.caps] \
         + [("ind", e.name, e.inductance, *ports(e)) for e in doc.inds]
-    measured = sorted({m.line for m in measures})
+    measured = sorted({m.line for m in measures} - opamp_by_line.keys())
     solve = stamp_solver(lines, elements, measured)
     temperatures = np.array([[line.temperature] for line in lines])
 
@@ -148,32 +149,49 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
         energies = thermal_energy(omegas, temperatures)
         return {line: (amplitude[:, k, :].T, energies)
                 for k, line in enumerate(measured)}
-    return [line.label for line in lines], rows
+    return measured, [line.label for line in lines], rows, NoiseBudget.records
 
 
-def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl, line: str):
-    """The labels of an op-amp's lines and noise pair (l, r, a, a') and
-    `rows(omegas)`, which gives the row (4, F) of its `line` over them and
-    their energies (4, F), the noise pair's flat k_B Theta_a."""
+def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl):
+    """An op-amp as a component: its two lines, their sources, its lines and
+    noise pair (l, r, a, a'); `rows(omegas)`, one solve for each line's row
+    (4, F) over them and their energies (4, F), the noise pair's flat
+    k_B Theta_a; and `NoiseBudget.records`, its budget.csv rows."""
     from .amplifier import IdealOpAmp, opamp_noise_energy, opamp_scattering
-    line_decls = {d.name: d for d in doc.lines}
-    left, right = line_decls[decl.left], line_decls[decl.right]
-    side = (decl.left, decl.right).index(line)
+    lines = (decl.left, decl.right)
+    left, right = map({d.name: d for d in doc.lines}.get, lines)
     temperatures = np.array([[left.temperature], [right.temperature]])
     amp = IdealOpAmp(left.resistance, right.resistance, lambda w: (
         capacitor_impedance(decl.feedback_capacitance, w)))
 
-    def rows(omegas: np.ndarray) -> Tuple:
+    def rows(omegas: np.ndarray) -> Dict[str, Tuple]:
         energy = opamp_noise_energy(decl.amp_temperature, omegas,
                                     f"op-amp {decl.name}:")
         try:
             smap = opamp_scattering(amp, decl.amp_impedance, omegas)
         except QNoiseError as exc:  # a feedback not finite: name its op-amp
             raise QNoiseError(f"op-amp {decl.name}: {exc}") from None
-        return smap.amplitude[:, side, :].T, np.vstack([thermal_energy(
-            omegas, temperatures), np.full((2, len(omegas)), energy)])
-    return [decl.left, decl.right, f"{decl.name}_a",
-            f"{decl.name}_a_conj"], rows
+        energies = np.vstack([thermal_energy(omegas, temperatures),
+                              np.full((2, len(omegas)), energy)])
+        return {line: (smap.amplitude[:, side, :].T, energies)
+                for side, line in enumerate(lines)}
+    sources = [*lines, f"{decl.name}_a", f"{decl.name}_a_conj"]
+    return lines, sources, rows, NoiseBudget.records
+
+
+def _muscope_rows(model: "AccelerometerModel"):
+    """The muscope preset's `model` as a component: its line, its force
+    sources; `rows(omegas)`, `model.estimator`'s force row (K, F) and PSDs
+    (K, 1); and `records`, a measure's budget.csv rows, then the report's."""
+
+    def records(budget: NoiseBudget, label: str) -> List[dict]:
+        report = model.report(label)
+        return budget.records(label) + [
+            {"estimator": label, "source": src, "band_integrated": value}
+            for src, value in (("sigma_FF_at_measure_freq", report.sigma_ff),
+                               ("acceleration_asd", report.acceleration_asd))]
+    return ["muscope"], model.sources, lambda omegas: {  # row, PSDs
+        "muscope": model.estimator(omegas)[2::2]}, records
 
 
 def _field_estimator(measure: MeasureDecl, sources: List[str],
@@ -202,47 +220,42 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         overrides: Optional[Dict[str, float]] = None) -> Dict[str, str]:
     """Execute a parsed netlist: sweep, write spectra.csv and budget.csv
     (plus budget.json with --json).  Returns the written paths."""
-    sweep = doc.sweep
-    if sweep is None:
-        if doc.preset is None:
-            raise QNoiseError("document has no sweep")
-        sweep = DEFAULT_PRESET_SWEEP
-    freqs_hz = sweep_grid(sweep)
+    if doc.sweep is None and doc.preset is None:
+        raise QNoiseError("document has no sweep")
+    freqs_hz = sweep_grid(doc.sweep or DEFAULT_PRESET_SWEEP)
 
     if overrides and doc.preset is None:
         raise QNoiseError("--set overrides require a preset in the netlist")
 
-    measures = list(doc.measures)
-    config = model = None
-    if doc.preset is not None:
-        config = preset_config(doc.preset, overrides)
-        if not any(m.line == "muscope" for m in measures):
+    measures = fields = list(doc.measures)
+    config = doc.preset and preset_config(doc.preset, overrides)
+    if config:  # the builtin signal force is MECH, the muscope's first source
+        from .accelerometer import MECH, build_accelerometer
+        fields = [m for m in measures if m.line != "muscope"]
+        if len(fields) == len(measures):
             if any(m.label == "force" for m in measures):
                 raise QNoiseError("measure label 'force' is taken by the "
                                   "estimator the muscope preset adds")
             measures.append(MeasureDecl("muscope", "force", "force"))
-    fields = [m for m in measures if m.line != "muscope"]
+        measures = [m._replace(signal=MECH) if m.line == "muscope" else m
+                    for m in measures]
     opamp_by_line = {line: d for d in doc.opamps for line in (d.left, d.right)}
     _check_structure(doc, fields, opamp_by_line)
-    passive = [m for m in fields if m.line not in opamp_by_line]
 
     paths = [os.path.join(out_dir, name) for name in (
         "spectra.csv", "budget.csv", "budget.json")[:3 if json_mirror else 2]]
     with np.errstate(all="ignore"), _staged(paths) as write:
-        labels = []  # the passive lines
-        if passive:
-            labels, rows = _passive_rows(doc, passive, opamp_by_line)
-        opamps = {m.line: _opamp_rows(doc, opamp_by_line[m.line], m.line)
-                  for m in fields if m.line in opamp_by_line}
-        gains = {m.line: [] for m in fields}  # per measured line
-        for g in doc.gains:
-            gains[g.input_line].append(g)
-        if config is not None:
-            from .accelerometer import build_accelerometer
-            model = build_accelerometer(config)
-        sources = [model.sources if m.line == "muscope" else
-                   (opamps[m.line][0] if m.line in opamps else labels)
-                   + [f"{g.name}_b" for g in gains[m.line]] for m in measures]
+        components = [_passive_rows(doc, fields, opamp_by_line)] if any(
+            d.name not in opamp_by_line for d in doc.lines) else []
+        components += [_opamp_rows(doc, decl) for decl in doc.opamps]
+        if config:  # its model, built once and shared by its measures
+            components.append(_muscope_rows(build_accelerometer(config)))
+        served = {line: (srcs, records) for lines, srcs, _, records
+                  in components for line in lines}  # by measured line
+        gains = {m.line: [g for g in doc.gains if g.input_line == m.line]
+                 for m in measures}
+        sources = [served[m.line][0] + [f"{g.name}_b" for g in gains[m.line]]
+                   for m in measures]
         header = ["frequency_Hz"] + [f"{m.label}_{src}" for m, srcs in zip(
             measures, sources) for src in ["total", *srcs]]
         owners = {}  # by column; one source named twice is left to evaluate
@@ -262,36 +275,23 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         for start in range(0, len(freqs_hz), window):
             freqs = freqs_hz[start:start + window]
             omegas = 2.0 * math.pi * freqs
-            solved = rows(omegas) if passive else {}
-            solved.update((line, opamp(omegas))
-                          for line, (_, opamp) in opamps.items())
+            solved = {line: row for _, _, rows, _ in components  # by line
+                      for line, row in rows(omegas).items()}
             columns = [freqs]
-            for k, measure in enumerate(measures):
-                est = model.estimator(omegas, measure.label) \
-                    if measure.line == "muscope" else _field_estimator(
-                        measure, sources[k], gains[measure.line],
-                        *solved[measure.line], omegas)
+            for k, m in enumerate(measures):
+                est = _field_estimator(m, sources[k], gains[m.line],
+                                       *solved[m.line], omegas)
                 # with the budget of the window that ends before start
                 budget = budgets[k] = evaluate(est, freqs, budgets[k],
                                                freqs_hz[start - 1])
                 columns += [budget.total, *budget.terms.values()]
-            pieces = _csv_pieces(header, columns)
-            if start:  # the header goes once, before the first window
-                next(pieces)
-            write(paths[0], pieces)
-            del columns, pieces, est, budget, solved  # before solving
+            # the header goes once, before the first window
+            write(paths[0], _csv_pieces([] if start else header, columns))
+            del columns, est, budget, solved  # before solving
 
-        records = []  # budget.csv rows, also written as budget.json
-        for measure, budget in zip(measures, budgets):
-            records += budget.records(measure.label)
-            if measure.line == "muscope":
-                report = model.report(measure.label)
-                records += [{"estimator": measure.label, "source": src,
-                             "band_integrated": value} for src, value in (
-                    ("sigma_FF_at_measure_freq", report.sigma_ff),
-                    ("acceleration_asd", report.acceleration_asd))]
-        lines = ["estimator,source,band_integrated,fraction_of_total,"
-                 "dominant"]
+        records = [r for m, b in zip(measures, budgets)  # budget.csv and .json
+                   for r in served[m.line][1](b, m.label)]
+        lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
         for r in records:
             tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
                     if "dominant" in r else ",")
@@ -306,12 +306,12 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
 
 
 def _csv_pieces(header: List[str], columns: List[np.ndarray]):
-    """spectra.csv as bytes: the header, then the rows in as few even
-    pieces of about BLOCK_ENTRIES // 4 cells as hold them, each written by
-    `_csv_rows`."""
+    """spectra.csv as bytes: the header if any, then the rows in as few
+    even pieces of about BLOCK_ENTRIES // 4 cells as hold them, each
+    written by `_csv_rows`."""
     table = np.asarray(columns).T
     pieces = max(1, min(len(table), -(-table.size * 4 // BLOCK_ENTRIES)))
-    yield (",".join(header) + "\n").encode()
+    yield (",".join(header) + "\n").encode() if header else b""
     for piece in np.array_split(table, pieces):
         yield _csv_rows(piece)
 

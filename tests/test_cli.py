@@ -129,6 +129,27 @@ class TestRun:
         run(parse_netlist(netlist), str(tmp_path))
         assert len(calls) == 1
 
+    def test_opamp_read_on_both_lines_is_solved_once(self, tmp_path,
+                                                     monkeypatch):
+        # one window of 301 points: the op-amp's component solves it once
+        # and gives the rows of both of its lines
+        import qnoise.amplifier
+        solve = qnoise.amplifier.opamp_scattering
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+        monkeypatch.setattr("qnoise.amplifier.opamp_scattering", counted)
+        paths = run(parse_netlist(
+            "line sig R=50 T=1\nline det R=50 T=0\n"
+            "opamp u1 left=sig right=det Zf=cap:1n R_a=50 Theta_a=2\n"
+            "sweep 1k 1M 301 log\nmeasure det as od signal=sig\n"
+            "measure sig as os signal=sig\n"), str(tmp_path))
+        header, rows = read_csv(Path(paths["spectra"]))
+        assert len(calls) == 1
+        assert len(rows) == 301 and header[1::5] == ["od_total", "os_total"]
+
     def test_budget_fractions_sum_to_one(self, tmp_path):
         doc = parse_netlist((DOCS / "opamp_readout.qn").read_text())
         paths = run(doc, str(tmp_path))

@@ -15,6 +15,12 @@ with RuntimeWarnings as errors (pyproject.toml), and the test asserts:
 - a non-zero exit prints exactly one `qnoise: ` line on stderr;
 - exit 0 writes no `nan` or `inf` cell;
 - exit 1 or 2 leaves no output directory.
+
+A second stream, with its own seed, mixes measure kinds: it prepends
+`preset muscope` to field netlists where the netlist and the preset on the
+same sweep each run alone with exit 0, and the mixed run must write each
+part's spectra.csv columns and budget.csv rows byte for byte, as a
+hand-written passive, op-amp and muscope netlist must too.
 """
 
 import io
@@ -30,6 +36,9 @@ from qnoise.netlist import PRESET_KEYS, parse_netlist
 
 SEED = 20261
 CASES = 1000
+#: seed and draws of the stream of mixed netlists
+MIXED_SEED = 20262
+MIXED_CASES = 120
 
 #: usual decades (exponents of ten) of each kind of value
 DECADES = {"R": (0, 7), "T": (-3, 3), "C": (-15, -6), "L": (-9, -1),
@@ -187,3 +196,80 @@ def test_generated_netlists_exit_cleanly(tmp_path):
     assert elapsed < 10.0, f"{CASES} netlists took {elapsed:.1f} s"
     # the generator reaches both the outputs and the model errors
     assert codes.count(0) >= CASES // 4 and codes.count(2) >= CASES // 10
+
+
+def outputs(text, tmp_path, name):
+    """The exit code of the run of `text` and, on exit 0, the lines of its
+    spectra.csv and budget.csv."""
+    netlist = tmp_path / f"{name}.qn"
+    netlist.write_text(text)
+    out = tmp_path / name
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["run", str(netlist), "--out", str(out)])
+    if code:
+        return code, None
+    lines = [(out / csv).read_text().splitlines()
+             for csv in ("spectra.csv", "budget.csv")]
+    shutil.rmtree(out)
+    return code, lines
+
+
+def side_by_side(parts):
+    """The spectra.csv and budget.csv lines of one run of the parts whose
+    outputs `parts` lists, on one sweep: the frequency, then each part's
+    columns, and each part's budget rows, in part order."""
+    tables = [[row.split(",") for row in spectra] for spectra, _ in parts]
+    assert all(
+        [row[0] for row in table] == [row[0] for row in tables[0]]
+        for table in tables)
+    spectra = [",".join(rows[0][:1] + [cell for row in rows
+                                        for cell in row[1:]])
+               for rows in zip(*tables)]
+    return [spectra, parts[0][1][:1] + [
+        row for _, budget in parts for row in budget[1:]]]
+
+
+#: a passive network with a gain, an op-amp with a gain on its right line
+#: and the muscope preset, each a netlist of its own with a sweep
+MIXED_PARTS = [
+    "line a R=50 T=300\nline b R=75 T=4\ncap c1 C=1n ports=(a,b)\n"
+    "ind l1 L=1u ports=(b,gnd)\ngain g1 in=a G=10 T_b=5\n"
+    "measure a as pa signal=b\n",
+    "line sig R=150k T=1\nline det R=150k T=0\n"
+    "opamp u1 left=sig right=det Zf=cap:10.6f R_a=150k Theta_a=1.5\n"
+    "gain g2 in=det G=20 T_b=3\nmeasure det as od signal=sig\n",
+    "preset muscope\n",
+]
+
+
+def test_mixed_netlist_writes_its_parts(tmp_path):
+    sweep = "sweep 1e-4 1e3 301 log\n"
+    parts = [outputs(part + sweep, tmp_path, f"part{k}")
+             for k, part in enumerate(MIXED_PARTS)]
+    assert [code for code, _ in parts] == [0, 0, 0]
+    code, mixed = outputs("".join(MIXED_PARTS) + sweep, tmp_path, "mixed")
+    assert code == 0
+    assert mixed == side_by_side([lines for _, lines in parts])
+    assert len(mixed[0]) == 302 and len(mixed[0][0].split(",")) == 17
+
+
+def test_generated_mixed_netlists_write_their_parts(tmp_path):
+    start = time.monotonic()
+    rng = random.Random(MIXED_SEED)
+    mixed = 0
+    for _ in range(MIXED_CASES):
+        text = passive_netlist(rng)
+        sweep_line = next(line for line in text if line.startswith("sweep"))
+        parts = [outputs("\n".join(text) + "\n", tmp_path, "field"),
+                 outputs(f"preset muscope\n{sweep_line}\n", tmp_path,
+                         "muscope")]
+        if any(code for code, _ in parts):
+            continue
+        code, got = outputs("\n".join(["preset muscope", *text]) + "\n",
+                            tmp_path, "mixed")
+        assert code == 0, text
+        assert got == side_by_side([lines for _, lines in parts]), text
+        mixed += 1
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"{MIXED_CASES} draws took {elapsed:.1f} s"
+    assert mixed >= MIXED_CASES // 4
