@@ -10,10 +10,11 @@ maps input line fields to output line fields and is unitary whenever Z is
 reactive.  Spectra are symmetrized occupations per line; propagation is
 incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
-Rows of S come from one elimination of (z + 1)^T over frequency, in
-rounds planned from the pattern of z, then LAPACK on the dense tail.
-`stamp_solver` is the sweep's passive path: it stamps the caps and inds at
-w = 1 and names an overflow.
+Rows of S come from one elimination of (z + 1)^T over frequency, the last
+axis of its arrays, so that each gather copies whole rows, in rounds planned
+from the pattern of z, then LAPACK on the dense tail.  `stamp_solver` is
+the sweep's passive path: it stamps the caps and inds at w = 1, keeps its
+buffers for a run and names an overflow.
 """
 
 import functools
@@ -145,14 +146,21 @@ def impedance_matrix(n_ports: int,
     anti-Hermiticity for purely reactive z.  Reactances given as arrays over
     frequency give a (..., n_ports, n_ports) stack.
     """
-    shape = np.broadcast_shapes(*(np.shape(z) for z, _, _ in elements))
-    z_mat = np.zeros(shape + (n_ports, n_ports), dtype=complex)
-    for z, i, j in elements:
-        z_mat[..., i, i] += z
-        if j >= 0 and j != i:
-            z_mat[..., j, j] += z
-            z_mat[..., i, j] -= z
-            z_mat[..., j, i] -= z
+    zs = [np.asarray(z) for z, _, _ in elements]
+    shape = np.broadcast_shapes(*{z.shape for z in zs})  # each shape once
+    n = n_ports
+    z_mat = np.zeros(shape + (n, n), dtype=complex)
+    at, values = [], []  # each stamp's flat (i, j) and reactance, in order
+    for z, (_, i, j) in zip(zs, elements):
+        bridged = j >= 0 and j != i  # else z at (i, i) alone
+        at += [i * n + i, j * n + j, i * n + j, j * n + i][:1 + 3 * bridged]
+        values += [z, z, -z, -z] if bridged else [z]
+    if values:  # one add.at, by stack entry and then by stamp
+        values = np.array([v if v.shape == shape else np.broadcast_to(v, shape)
+                           for v in values], dtype=complex)
+        at = np.arange(0, z_mat.size, n * n)[:, None] + at
+        np.add.at(z_mat.reshape(-1), at.ravel(),
+                  values.reshape(len(values), -1).T.ravel())
     return z_mat
 
 
@@ -191,10 +199,9 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
                          f"anti-Hermiticity residual {residual:.3e} "
                          f"exceeds {TOL_REACTIVE:.0e}")
     plan = _plan(n, (z != 0.0).any(axis=0).tobytes())
-    a = np.zeros((len(z), len(plan[0]) + 1), dtype=complex)
-    a[:, :-1] = z[:, plan[1], plan[0]]  # z^T at the slots, then slot 0
+    a = np.vstack((z.T[plan[0], plan[1]], np.zeros(len(z))))  # z^T, then 0
     s = _eliminate(plan, a, [labels.index(label) for label in outputs],
-                   norm, skew)
+                   norm, skew).transpose(2, 0, 1)  # (F, k, n)
     return ScatteringMap(s.reshape(shape + s.shape[1:]), np.zeros(
         (len(outputs), n), dtype=bool), outputs, labels)
 
@@ -211,7 +218,9 @@ def stamp_solver(lines: Sequence[NoiseLine],
     `scattering_from_impedance(i (Im A / w) + w B, ...)`.  It solves from
     the slots of x = (Im A / w + w Im B) dd, dd_ij = d_i d_j, d = R^-1/2;
     an x that overflows is rejected by the first element whose own
-    reactance overflows there, else by the line or pair of lines."""
+    reactance overflows there, else by the line or pair of lines.  It
+    forms x, its norms and a in one buffer of the run, (slots + 1, F) as
+    wide as its widest block; the rows are a fresh array, the caller's."""
     labels = [line.label for line in lines]
     rows = [labels.index(label) for label in outputs]
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
@@ -222,16 +231,21 @@ def stamp_solver(lines: Sequence[NoiseLine],
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
     plan = _plan(len(lines), ((x_a != 0.0) | (x_b != 0.0)).tobytes())
-    slot_a, slot_b, slot_dd = (m[plan[0], plan[1]] for m in (x_a, x_b, dd))
+    slot_a, slot_b, slot_dd = (m[plan[0], plan[1], None] for m in (x_a, x_b, dd))
+    work = [np.empty((len(slot_a) + 1, 0), dtype=complex)]  # a, kept per run
 
     def solve_block(w: np.ndarray) -> np.ndarray:
+        if work[0].shape[1] < len(w):  # as wide as the widest block yet
+            work[0] = np.empty((len(slot_a) + 1, len(w)), dtype=complex)
+        a = work[0][:, :len(w)]  # z^T = i x^T = i x at the slots, then 0
+        x, scratch = a.imag[:-1], a.real[:-1]  # its real part 0 after them
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = slot_a / w  # finite wherever the reactance is; 0 / w is 0
-            x += w * slot_b
-            x *= slot_dd
-            norm = np.sqrt(np.square(x).sum(axis=1))  # x has both triangles
+            np.divide(slot_a, w, out=x)  # finite where the reactance is, and
+            x += np.multiply(slot_b, w, out=scratch)  # 0 / w is 0
+            x *= slot_dd  # x has both triangles: its norm is |z|_F
+            norm = np.sqrt(np.add.reduce(np.square(x, out=scratch), axis=0))
             if not np.isfinite(norm).all() and not np.isfinite(x).all():
-                w = w[np.flatnonzero(~np.isfinite(x).all(axis=1))[0], 0]
+                w = w[np.flatnonzero(~np.isfinite(x).all(axis=0))[0]]
                 x = (x_a / w + w * x_b) * dd  # all of x, at the first such w
                 i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
                 named = [f"{kind} {name}: its reactance"
@@ -243,16 +257,16 @@ def stamp_solver(lines: Sequence[NoiseLine],
                 named += [f"{where}: the summed cap and ind reactance over R"]
                 raise ModelError(f"{named[0]} overflows at "
                                  f"{w / (2 * np.pi):.6g} Hz")
-        a = np.zeros((len(w), len(slot_a) + 1), dtype=complex)
-        a.imag[:, :-1] = x  # z^T = i x^T = i x at the slots, then slot 0
+        a.real[:], a.imag[-1] = 0.0, 0.0
         return _eliminate(plan, a, rows, norm, 0.0)
 
     def solve(omegas: np.ndarray) -> np.ndarray:
         block = max(1, 4 * BLOCK_ENTRIES // len(slot_a))  # held in cache
+        if len(omegas) <= block:  # rows (k, n, F) that no block shares
+            return solve_block(omegas).transpose(2, 0, 1)
         s = np.empty((len(rows), len(lines), len(omegas)), dtype=complex)
         for f in range(0, len(omegas), block):  # each row contiguous in F
-            s[:, :, f:f + block] = solve_block(
-                omegas[f:f + block, None]).transpose(1, 2, 0)
+            s[..., f:f + block] = solve_block(omegas[f:f + block])
         return s.transpose(2, 0, 1)  # (F, k, n)
     return solve
 
@@ -302,43 +316,43 @@ def _plan(n: int, pattern: bytes):
 
 
 def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
-    """Rows `rows` of S from (z + 1)^T S^T = (z - 1)^T, given z^T at the
-    slots of `plan`, then 0, in `a` (F, slots + 1; overwritten) and the
-    Frobenius norms (F,) of z and z + z^H.  The Hermitian part of z + 1 is
-    at least 1 - |(z + z^H) / 2|, which bounds its pivots from below and
+    """Rows `rows` of S (k, n, F) from (z + 1)^T S^T = (z - 1)^T, given z^T
+    at the slots of `plan`, then 0, in `a` (slots + 1, F; overwritten) and
+    the Frobenius norms (F,) of z and z + z^H.  The Hermitian part of z + 1
+    is at least 1 - |(z + z^H) / 2|, which bounds its pivots from below and
     cond(z + 1) by (1 + |z|) / (1 - |(z + z^H) / 2|); where that bound
     exceeds COND_LIMIT, an SVD checks z + 1 and LAPACK solves it."""
     at_row, at_col, slot, rounds, tail = plan
     n = len(slot) - 1
-    a.real[:, slot.diagonal()[:n]] += 1.0  # (z + 1)^T
-    b = a[:, slot[:, rows]]  # (z - 1)^T[:, rows], and a zero row n
-    b[:, rows, range(len(rows))] -= 2.0
+    a.real[slot.diagonal()[:n]] += 1.0  # (z + 1)^T
+    b = a[slot[:, rows].T]  # (z - 1)^T[:, rows] as (k, n + 1, F), row n 0
+    b[range(len(rows)), rows] -= 2.0
     unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
     if unclear.any():
-        system = a[unclear][:, slot[:n, :n]]
+        system = a[:, unclear][slot[:n, :n]].transpose(2, 0, 1)
         cond = np.max(np.linalg.cond(system))
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ModelError(f"(z + 1) is near-singular (condition "
                              f"{cond:.3e}); input impedance matrix is not "
                              "consistently reactive")
-        b[unclear, :n] = np.linalg.solve(system, b[unclear, :n])
-        a[unclear] = np.isin(range(a.shape[1]), slot.diagonal()[:n])  # 1
+        b[:, :n, unclear] = np.linalg.solve(system, b[:, :n, unclear].T).T
+        a[:, unclear] = np.isin(range(len(a)), slot.diagonal()[:n])[:, None]
     for k, nb, pivot, col, row, update in rounds:
-        mult = a[:, col] / a[:, pivot, None]  # by division, as LAPACK does
-        a[:, update] -= mult[..., None] * a[:, row][:, :, None, :]
-        bk = b[:, k]  # no neighbour is a pivot of the round: read once
+        mult = a[col] / a[pivot, None]  # by division, as LAPACK does
+        a[update] -= mult[:, :, None] * a[row][:, None]
+        bk = b.take(k, 1)  # no neighbour is a pivot of the round: read once
         for j in range(nb.shape[1]):  # by neighbour: temporaries of b's rows
-            b[:, nb[:, j]] -= mult[:, :, j, None] * bk
+            b[:, nb[:, j]] = b.take(nb[:, j], 1) - mult[:, j] * bk
     if m := len(tail):  # its square is in the last slots, row by row
-        b[:, tail] = np.linalg.solve(a[:, -1 - m * m:-1].reshape(-1, m, m),
-                                     b[:, tail])
+        b[:, tail] = np.linalg.solve(a[-1 - m * m:-1].reshape(
+            m, m, -1).transpose(2, 0, 1), b[:, tail].T).T
     for k, nb, pivot, col, row, update in reversed(rounds):
-        bk = b[:, k]
+        bk = b.take(k, 1)  # on axis 1, take gathers faster than an index
         for j in range(nb.shape[1]):
-            bk -= a[:, row[:, j], None] * b[:, nb[:, j]]
-        bk /= a[:, pivot, None]
+            bk -= a[row[:, j]] * b.take(nb[:, j], 1)
+        bk /= a[pivot]
         b[:, k] = bk
-    return np.swapaxes(b[:, :n], 1, 2)
+    return b[:, :n]
 
 
 def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTable:

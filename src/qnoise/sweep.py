@@ -239,6 +239,8 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
             measures.append(MeasureDecl("muscope", "force", "force"))
         measures = [m._replace(signal=MECH) if m.line == "muscope" else m
                     for m in measures]
+    if not measures:  # as the parser rejects a netlist without one
+        raise QNoiseError("missing measure declaration")
     opamp_by_line = {line: d for d in doc.opamps for line in (d.left, d.right)}
     _check_structure(doc, fields, opamp_by_line)
 

@@ -10,7 +10,9 @@ import pytest
 from qnoise.accelerometer import MUSCOPE, sensitivity_report
 from qnoise.cli import main, run
 from qnoise.constants import HBAR, K_B
-from qnoise.netlist import PresetDecl, SweepDecl, parse_netlist
+from qnoise.errors import QNoiseError
+from qnoise.netlist import LineDecl, NetlistDocument, PresetDecl, SweepDecl, \
+    parse_netlist
 from qnoise.sweep import preset_config, sweep_grid
 
 ROOT = Path(__file__).parents[1]
@@ -199,6 +201,19 @@ class TestRun:
             if name != "readout_total":
                 assert [float(r[k]) for r in rows] == pytest.approx(
                     [float(r[k]) for r in base_rows], rel=1e-8), name
+
+    @pytest.mark.parametrize("decls", [
+        (SweepDecl(1.0, 10.0, 3, "log"),),
+        (LineDecl("a", 50.0, 1.0), SweepDecl(1.0, 10.0, 3, "log")),
+    ], ids=["sweep_only", "line_and_sweep"])
+    def test_library_document_without_a_measure(self, decls, tmp_path):
+        # the parser never builds one; a library caller gets the parser's
+        # message, before any directory is made
+        out = tmp_path / "out" / "nested"
+        with pytest.raises(QNoiseError) as info:
+            run(NetlistDocument(decls), str(out))
+        assert str(info.value) == "missing measure declaration"
+        assert list(tmp_path.iterdir()) == []
 
     def test_preset_without_sweep_uses_default_band(self, tmp_path):
         doc = parse_netlist("preset muscope\n")
