@@ -274,13 +274,13 @@ def stamp_solver(lines: Sequence[NoiseLine],
 @functools.lru_cache(maxsize=64)
 def _plan(n: int, pattern: bytes):
     """Elimination of (z + 1)^T fixed by the (n, n) bool `pattern` of z:
-    rounds of pivots (k, their neighbours padded with line n) by ascending
-    degree, pairwise >= 3 apart in the graph of the lines left, so that
-    their Schur updates are distinct, while over 4 lines are left and
-    under half their pairs are joined, and then on to the last line; the
-    lines left are the dense tail.  The slots hold the entries of the
-    pivots' rows and columns, then the tail's square, row by row; `slot`
-    (n + 1, n + 1) indexes them, its last for 0."""
+    rounds of pivots (k (P,), their neighbours (W, P) padded with line n)
+    by ascending degree, pairwise >= 3 apart in the graph of the lines
+    left, so that their Schur updates are distinct, while over 4 lines
+    are left and under half their pairs are joined, and then on to the
+    last line; the lines left are the dense tail.  The slots hold the
+    entries of the pivots' rows and columns, then the tail's square, row
+    by row; `slot` (n + 1, n + 1) indexes them, its last for 0."""
     graph, held = [set() for _ in range(n)], set()
     full = np.frombuffer(pattern, dtype=bool).reshape(n, n)
     for i, j in zip(*(ix.tolist() for ix in np.nonzero(full | full.T))):
@@ -297,7 +297,7 @@ def _plan(n: int, pattern: bytes):
         width = max(map(len, nbs))
         rounds.append((np.array(pivots), np.array(
             [v + [n] * (width - len(v)) for v in nbs], int).reshape(
-                len(pivots), width)))
+                len(pivots), width).T.copy()))
         for k, v in zip(pivots, nbs):
             held.update([(k, k)] + [(k, i) for i in v] + [(i, k) for i in v])
             for i in v:
@@ -310,9 +310,9 @@ def _plan(n: int, pattern: bytes):
                               int).reshape(-1, 2).T
     slot = np.full((n + 1, n + 1), len(at_row))
     slot[at_row, at_col] = np.arange(len(at_row))
-    return at_row, at_col, slot, [  # and the slots each round reads
-        (k, nb, slot[k, k], slot[nb, k[:, None]], slot[k[:, None], nb],
-         slot[nb[:, :, None], nb[:, None]]) for k, nb in rounds], tail
+    return at_row, at_col, slot, [  # and the slots each round reads: its
+        (k, nb, np.vstack([slot[k, k], slot[nb, k], slot[k, nb]]),  # pivots,
+         slot[nb[:, None], nb]) for k, nb in rounds], tail  # cols, rows; updates
 
 
 def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
@@ -337,20 +337,22 @@ def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
                              "consistently reactive")
         b[:, :n, unclear] = np.linalg.solve(system, b[:, :n, unclear].T).T
         a[:, unclear] = np.isin(range(len(a)), slot.diagonal()[:n])[:, None]
-    for k, nb, pivot, col, row, update in rounds:
-        mult = a[col] / a[pivot, None]  # by division, as LAPACK does
-        a[update] -= mult[:, :, None] * a[row][:, None]
+    for k, nb, reads, update in rounds:  # nb (W, P), reads (1 + 2W, P)
+        g = a[reads]  # one gather of the pivots, their columns and rows
+        mult = g[1:1 + len(nb)] / g[0]  # by division, as LAPACK does
+        a[update] -= mult[:, None] * g[None, 1 + len(nb):]
         bk = b.take(k, 1)  # no neighbour is a pivot of the round: read once
-        for j in range(nb.shape[1]):  # by neighbour: temporaries of b's rows
-            b[:, nb[:, j]] = b.take(nb[:, j], 1) - mult[:, j] * bk
+        for j in range(len(nb)):  # by neighbour: temporaries of b's rows
+            b[:, nb[j]] = b.take(nb[j], 1) - mult[j] * bk
     if m := len(tail):  # its square is in the last slots, row by row
         b[:, tail] = np.linalg.solve(a[-1 - m * m:-1].reshape(
             m, m, -1).transpose(2, 0, 1), b[:, tail].T).T
-    for k, nb, pivot, col, row, update in reversed(rounds):
+    for k, nb, reads, update in reversed(rounds):
+        g = a[reads]  # no later round changed its pivots' rows
         bk = b.take(k, 1)  # on axis 1, take gathers faster than an index
-        for j in range(nb.shape[1]):
-            bk -= a[row[:, j]] * b.take(nb[:, j], 1)
-        bk /= a[pivot]
+        for j in range(len(nb)):
+            bk -= g[1 + len(nb) + j] * b.take(nb[j], 1)
+        bk /= g[0]
         b[:, k] = bk
     return b[:, :n]
 

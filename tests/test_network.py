@@ -509,7 +509,7 @@ class TestStampSolver:
 
     def test_a_window_allocates_little_beyond_its_rows(self):
         # the traced peak of one 75-point window of the bench ladder, its
-        # kept buffer included, against the rows it returns: 3.45 with
+        # kept buffer included, against the rows it returns: 3.80 with
         # numpy 2.4, where allocating a per window took 4.88
         import tracemalloc
         lines, elements, outputs = self.bench_ladder()
