@@ -219,8 +219,8 @@ def stamp_solver(lines: Sequence[NoiseLine],
     the slots of x = (Im A / w + w Im B) dd, dd_ij = d_i d_j, d = R^-1/2;
     an x that overflows is rejected by the first element whose own
     reactance overflows there, else by the line or pair of lines.  It
-    forms x, its norms and a in one buffer of the run, (slots + 1, F) as
-    wide as its widest block; the rows are a fresh array, the caller's."""
+    forms x, its squares and a in one buffer (slots + 1, F) kept for the
+    run, as wide as its widest block; the rows are a fresh array."""
     labels = [line.label for line in lines]
     rows = [labels.index(label) for label in outputs]
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
@@ -310,9 +310,9 @@ def _plan(n: int, pattern: bytes):
                               int).reshape(-1, 2).T
     slot = np.full((n + 1, n + 1), len(at_row))
     slot[at_row, at_col] = np.arange(len(at_row))
-    return at_row, at_col, slot, [  # and the slots each round reads: its
-        (k, nb, np.vstack([slot[k, k], slot[nb, k], slot[k, nb]]),  # pivots,
-         slot[nb[:, None], nb]) for k, nb in rounds], tail  # cols, rows; updates
+    return at_row, at_col, slot, [  # and each round's slots: its pivots,
+        (k, nb, np.vstack([slot[k, k], slot[nb, k], slot[k, nb]]),  # cols,
+         slot[nb[:, None], nb]) for k, nb in rounds], tail  # rows; updates
 
 
 def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
