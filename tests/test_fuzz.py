@@ -15,6 +15,10 @@ with RuntimeWarnings as errors (pyproject.toml), and the test asserts:
 - a non-zero exit prints exactly one `qnoise: ` line on stderr;
 - exit 0 writes no `nan` or `inf` cell;
 - exit 1 or 2 leaves no output directory.
+tests/data/run_outcomes.txt holds each case's exit code and, for a
+non-zero exit, its stderr line, one case a line, and the gate compares its
+outcomes with it in the same pass, so every message is pinned.
+`python tests/test_fuzz.py` rewrites the record.
 
 A second stream, with its own seed, mixes measure kinds: it prepends
 `preset muscope` to field netlists where the netlist and the preset on the
@@ -27,15 +31,18 @@ import io
 import math
 import random
 import shutil
+import tempfile
 import time
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from qnoise.cli import main
 from qnoise.netlist import PRESET_KEYS, parse_netlist
 
 SEED = 20261
 CASES = 1000
+RECORD = Path(__file__).parent / "data" / "run_outcomes.txt"
 #: seed and draws of the stream of mixed netlists
 MIXED_SEED = 20262
 MIXED_CASES = 120
@@ -152,9 +159,9 @@ def finite_cells(path):
 
 
 def check(text, tmp_path, n, sets=()):
-    """The exit code of the run of `text` with the overrides `sets` and
-    what is wrong with it, or None (the code is None when an exception
-    escaped)."""
+    """The outcome of the run of `text` with the overrides `sets` (its
+    exit code and, for a non-zero exit, its stderr line) and what is wrong
+    with it, or None (the outcome is None when an exception escaped)."""
     netlist = tmp_path / "net.qn"
     netlist.write_text(text)
     parse_netlist(text)  # the generator writes only valid netlists
@@ -174,28 +181,42 @@ def check(text, tmp_path, n, sets=()):
         if "NaN" in mirror or "Infinity" in mirror:
             bad.append("budget.json")
         shutil.rmtree(out)
-        return code, f"non-finite cells in {bad}" if bad else None
+        return "0", f"non-finite cells in {bad}" if bad else None
+    outcome = " ".join([str(code)] + lines[:1])
     if len(lines) != 1 or not lines[0].startswith("qnoise: "):
-        return code, f"stderr {lines}"
+        return outcome, f"stderr {lines}"
     if out.exists():
-        return code, f"left {out.name}"
-    return code, None
+        return outcome, f"left {out.name}"
+    return outcome, None
+
+
+def outcomes(tmp_path):
+    """The outcome of every case and its problems (case, text, overrides,
+    outcome, problem)."""
+    got, failures = [], []
+    for n, (text, sets) in enumerate(netlists()):
+        outcome, problem = check(text, tmp_path, n, sets)
+        got.append(outcome)
+        if problem:
+            failures.append((n, text, sets, outcome, problem))
+    return got, failures
 
 
 def test_generated_netlists_exit_cleanly(tmp_path):
     start = time.monotonic()
-    failures, codes = [], []
-    for n, (text, sets) in enumerate(netlists()):
-        code, problem = check(text, tmp_path, n, sets)
-        codes.append(code)
-        if problem:
-            failures.append((text, sets, code, problem))
+    got, failures = outcomes(tmp_path)
     elapsed = time.monotonic() - start
     assert not failures, f"{len(failures)} of {CASES} failed, first: " \
         f"{failures[:3]}"
     assert elapsed < 10.0, f"{CASES} netlists took {elapsed:.1f} s"
     # the generator reaches both the outputs and the model errors
-    assert codes.count(0) >= CASES // 4 and codes.count(2) >= CASES // 10
+    codes = [outcome.split(" ", 1)[0] for outcome in got]
+    assert codes.count("0") >= CASES // 4 and codes.count("2") >= CASES // 10
+    recorded = RECORD.read_text().split("\n")[:-1]
+    assert len(recorded) == CASES
+    diff = [(n, r, g) for n, (r, g) in enumerate(zip(recorded, got))
+            if r != g]
+    assert not diff, f"{len(diff)} outcomes differ, first: {diff[:3]}"
 
 
 def outputs(text, tmp_path, name):
@@ -273,3 +294,8 @@ def test_generated_mixed_netlists_write_their_parts(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"{MIXED_CASES} draws took {elapsed:.1f} s"
     assert mixed >= MIXED_CASES // 4
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        RECORD.write_text("\n".join(outcomes(Path(scratch))[0]) + "\n")

@@ -20,6 +20,13 @@ def random_reactive(rng, dim):
     return 1j * h
 
 
+def chain(lines, caps=()):
+    """A cap between each pair of neighbours in `lines` (a range): of
+    `dict(caps)[i]` farads from line i to the next, else of 1 nF."""
+    return [("cap", f"c{i}", dict(caps).get(i, 1e-9), j, i)
+            for i, j in zip(lines, lines[1:])]
+
+
 def random_lines(rng, dim):
     return [NoiseLine(rng.uniform(1.0, 1e6), rng.uniform(0.0, 300.0), f"p{i}")
             for i in range(dim)]
@@ -553,6 +560,41 @@ class TestStampSolver:
         with pytest.raises(ModelError) as info:
             stamp_solver(lines, [element], ["a"])(np.array([omega]))
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("resistances, elements, hz, message", [
+        ([50.0] * 6, chain(range(6)) + [
+            ("ind", "i0", 1.5e308, 3, -1), ("ind", "i1", 1.5e308, 3, -1)],
+         [1e-3, 1e-2],
+         "line 'l3': the summed cap and ind reactance over R overflows at "
+         "0.001 Hz"),
+        ([50.0, 50.0, 1e-200, 1e-300, 50.0, 50.0], chain(range(6), {2: 1e-60}),
+         [1.0, 10.0],
+         "lines 'l2' and 'l3': the summed cap and ind reactance over R "
+         "overflows at 1 Hz"),
+        # a 5-line clique with a chain off it: the plan eliminates l0 and
+        # l7 and leaves l1..l6 as the dense tail, so the overflowing slots
+        # of l6 and l7 come before line l1's, which comes first in x
+        ([50.0] * 6 + [1e-200, 1e-300],
+         [("cap", f"c{i}{j}", 1e-9, j, i) for j in range(5) for i in range(j)]
+         + chain(range(4, 8), {6: 1e-60})
+         + [("ind", "i0", 1.5e308, 1, -1), ("ind", "i1", 1.5e308, 1, -1)],
+         [1e-3, 1e-2],
+         "line 'l1': the summed cap and ind reactance over R overflows at "
+         "0.001 Hz")], ids=["summed_interior_line", "bridging_pair",
+                            "dense_tail"])
+    def test_overflow_is_named_on_a_plan_with_rounds(self, resistances,
+                                                     elements, hz, message):
+        # over 4 lines, so the plan eliminates in rounds; the message names
+        # the first entry of x in row-major order that is not finite
+        n = len(resistances)
+        lines = [NoiseLine(r, 1.0, f"l{i}") for i, r in enumerate(resistances)]
+        with np.errstate(all="ignore"):  # as the sweep calls it
+            a, b = self.stamps(n, elements)
+            assert network._plan(n, ((a != 0.0) | (b != 0.0)).tobytes())[3]
+            with pytest.raises(ModelError) as info:
+                stamp_solver(lines, elements, ["l1"])(
+                    2 * math.pi * np.array(hz))
+        assert str(info.value) == message
 
     def test_ladder_runs_no_per_frequency_check(self, monkeypatch, tmp_path):
         from qnoise.cli import main
