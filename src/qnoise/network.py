@@ -12,9 +12,9 @@ incoherent per line (inputs are mutually uncorrelated) except for optional
 anomalous pair correlations used by the active-element decompositions.
 Rows of S come from one elimination of (z + 1)^T over frequency, the last
 axis of its arrays, so that each gather copies whole rows, in rounds planned
-from the pattern of z, then LAPACK on the dense tail.  `stamp_solver` is
-the sweep's passive path: it stamps the caps and inds at w = 1, keeps its
-buffers for a run and names an overflow.
+from the pattern of z, then LAPACK on the dense tail, into the caller's rows.
+`stamp_solver`, the sweep's passive path, stamps caps and inds at w = 1,
+keeps buffers per run, fills rows in one block loop and names an overflow.
 """
 
 import functools
@@ -200,10 +200,10 @@ def scattering_from_impedance(z_matrix: np.ndarray, lines: Sequence[NoiseLine],
                          f"exceeds {TOL_REACTIVE:.0e}")
     plan = _plan(n, (z != 0.0).any(axis=0).tobytes())
     a = np.vstack((z.T[plan[0], plan[1]], np.zeros(len(z))))  # z^T, then 0
-    s = _eliminate(plan, a, [labels.index(label) for label in outputs],
-                   norm, skew).transpose(2, 0, 1)  # (F, k, n)
-    return ScatteringMap(s.reshape(shape + s.shape[1:]), np.zeros(
-        (len(outputs), n), dtype=bool), outputs, labels)
+    b = np.empty((len(outputs), n + 1, len(z)), dtype=complex)
+    _eliminate(plan, a, list(map(labels.index, outputs)), norm, skew, b)
+    s = b[:, :n].transpose(2, 0, 1).reshape(shape + (len(outputs), n))
+    return ScatteringMap(s, np.zeros(s.shape[-2:], bool), outputs, labels)
 
 
 def stamp_solver(lines: Sequence[NoiseLine],
@@ -217,24 +217,26 @@ def stamp_solver(lines: Sequence[NoiseLine],
     exactly anti-Hermitian, and the rows are bit for bit those of
     `scattering_from_impedance(i (Im A / w) + w B, ...)`.  It solves from
     the slots of x = (Im A / w + w Im B) dd, dd_ij = d_i d_j, d = R^-1/2;
-    an x that overflows is rejected by the first element whose own
-    reactance overflows there, else by the line or pair of lines.  It
-    forms x, its squares and a in one buffer (slots + 1, F) kept for the
-    run, as wide as its widest block; the rows are a fresh array."""
+    an x that overflows is rejected by the first element whose own reactance
+    overflows there, else by the line or pair of lines.  It forms x, its
+    squares and a in one buffer (slots + 1, F) kept for the run, as wide as
+    its widest block; one block loop fills the rows, which the caller owns."""
     labels = [line.label for line in lines]
-    rows = [labels.index(label) for label in outputs]
+    if not set(outputs) <= set(labels):
+        raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
+    rows = list(map(labels.index, outputs))
     d = np.array([1.0 / np.sqrt(line.resistance) for line in lines])
-    dd = d[:, None] * d
     x_a, x_b = (impedance_matrix(len(lines), [
         (impedance(value, 1.0), i, j)
         for kind, _, value, i, j in elements if kind == name]).imag.copy()
         for name, impedance in (("cap", capacitor_impedance),
                                 ("ind", inductor_impedance)))
     plan = _plan(len(lines), ((x_a != 0.0) | (x_b != 0.0)).tobytes())
-    slot_a, slot_b, slot_dd = (m[plan[0], plan[1], None] for m in (x_a, x_b, dd))
+    slot_a, slot_b = (m[plan[0], plan[1], None] for m in (x_a, x_b))
+    slot_dd = d[plan[0], None] * d[plan[1], None]
     work = [np.empty((len(slot_a) + 1, 0), dtype=complex)]  # a, kept per run
 
-    def solve_block(w: np.ndarray) -> np.ndarray:
+    def solve_block(w: np.ndarray, s: np.ndarray):
         if work[0].shape[1] < len(w):  # as wide as the widest block yet
             work[0] = np.empty((len(slot_a) + 1, len(w)), dtype=complex)
         a = work[0][:, :len(w)]  # z^T = i x^T = i x at the slots, then 0
@@ -245,9 +247,9 @@ def stamp_solver(lines: Sequence[NoiseLine],
             x *= slot_dd  # x has both triangles: its norm is |z|_F
             norm = np.sqrt(np.add.reduce(np.square(x, out=scratch), axis=0))
             if not np.isfinite(norm).all() and not np.isfinite(x).all():
-                w = w[np.flatnonzero(~np.isfinite(x).all(axis=0))[0]]
-                x = (x_a / w + w * x_b) * dd  # all of x, at the first such w
-                i, j = np.unravel_index(np.argmax(~np.isfinite(x)), x.shape)
+                f = np.flatnonzero(~np.isfinite(x).all(axis=0))[0]
+                w, bad = w[f], ~np.isfinite(x[:, f])  # the first such w
+                i, j = min(zip(plan[0][bad], plan[1][bad]))  # row-major
                 named = [f"{kind} {name}: its reactance"
                          for kind, name, value, _, _ in elements
                          if not np.isfinite(1.0 / (w * value) if kind == "cap"
@@ -258,16 +260,14 @@ def stamp_solver(lines: Sequence[NoiseLine],
                 raise ModelError(f"{named[0]} overflows at "
                                  f"{w / (2 * np.pi):.6g} Hz")
         a.real[:], a.imag[-1] = 0.0, 0.0
-        return _eliminate(plan, a, rows, norm, 0.0)
+        _eliminate(plan, a, rows, norm, 0.0, s)
 
     def solve(omegas: np.ndarray) -> np.ndarray:
         block = max(1, 4 * BLOCK_ENTRIES // len(slot_a))  # held in cache
-        if len(omegas) <= block:  # rows (k, n, F) that no block shares
-            return solve_block(omegas).transpose(2, 0, 1)
-        s = np.empty((len(rows), len(lines), len(omegas)), dtype=complex)
+        s = np.empty((len(rows), len(lines) + 1, len(omegas)), dtype=complex)
         for f in range(0, len(omegas), block):  # each row contiguous in F
-            s[..., f:f + block] = solve_block(omegas[f:f + block])
-        return s.transpose(2, 0, 1)  # (F, k, n)
+            solve_block(omegas[f:f + block], s[..., f:f + block])
+        return s[:, :-1].transpose(2, 0, 1)  # (F, k, n)
     return solve
 
 
@@ -315,18 +315,19 @@ def _plan(n: int, pattern: bytes):
          slot[nb[:, None], nb]) for k, nb in rounds], tail  # rows; updates
 
 
-def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
-    """Rows `rows` of S (k, n, F) from (z + 1)^T S^T = (z - 1)^T, given z^T
-    at the slots of `plan`, then 0, in `a` (slots + 1, F; overwritten) and
-    the Frobenius norms (F,) of z and z + z^H.  The Hermitian part of z + 1
-    is at least 1 - |(z + z^H) / 2|, which bounds its pivots from below and
-    cond(z + 1) by (1 + |z|) / (1 - |(z + z^H) / 2|); where that bound
-    exceeds COND_LIMIT, an SVD checks z + 1 and LAPACK solves it."""
+def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew, b):
+    """Rows `rows` of S into b[:, :n] of the caller's b (k, n + 1, F) from
+    (z + 1)^T S^T = (z - 1)^T, given z^T at the slots of `plan`, then 0, in
+    `a` (slots + 1, F; overwritten) and the Frobenius norms (F,) of z and
+    z + z^H.  The Hermitian part of z + 1 is at least 1 - |(z + z^H) / 2|,
+    which bounds its pivots from below and cond(z + 1) by
+    (1 + |z|) / (1 - |(z + z^H) / 2|); where that bound exceeds COND_LIMIT,
+    an SVD checks z + 1 and LAPACK solves it."""
     at_row, at_col, slot, rounds, tail = plan
     n = len(slot) - 1
     a.real[slot.diagonal()[:n]] += 1.0  # (z + 1)^T
-    b = a[slot[:, rows].T]  # (z - 1)^T[:, rows] as (k, n + 1, F), row n 0
-    b[range(len(rows)), rows] -= 2.0
+    a.take(slot[:, rows].T, axis=0, out=b, mode="clip")  # "raise" copies b
+    b[range(len(rows)), rows] -= 2.0  # (z - 1)^T[:, rows], row n 0
     unclear = ~(1.0 + norm <= COND_LIMIT * (1.0 - skew / 2.0))
     if unclear.any():
         system = a[:, unclear][slot[:n, :n]].transpose(2, 0, 1)
@@ -354,7 +355,6 @@ def _eliminate(plan, a: np.ndarray, rows: Sequence[int], norm, skew):
             bk -= g[1 + len(nb) + j] * b.take(nb[j], 1)
         bk /= g[0]
         b[:, k] = bk
-    return b[:, :n]
 
 
 def propagate_spectra(smap: ScatteringMap, table: SpectrumTable) -> SpectrumTable:

@@ -281,9 +281,14 @@ class TestSolvedRowsAndConditionGuard:
                                    rtol=1e-14, atol=1e-15)
 
     def test_unknown_output_rejected(self):
+        # by the sweep's stamp path too, with the same message
         z, lines = self.ladder(self.OMEGAS)
-        with pytest.raises(ModelError, match="unknown output"):
-            scattering_from_impedance(z, lines, outputs=["l0", "nope"])
+        for solve in (lambda: scattering_from_impedance(
+                          z, lines, outputs=["l0", "nope"]),
+                      lambda: stamp_solver(lines, [], ["l0", "nope"])):
+            with pytest.raises(ModelError) as info:
+                solve()
+            assert str(info.value) == "unknown output lines {'nope'}"
 
     def test_near_singular_frequency_in_healthy_stack(self):
         # 1 pF between two 50 ohm lines: cond(z + 1) = 6.4e12 at 1 mHz
