@@ -1,7 +1,9 @@
 """Calibrated estimators and per-source noise budgets.
 
 Passive, gain, op-amp and muscope estimators are each compiled once into
-a `CompiledEstimator` and evaluated by the one kernel `evaluate`.  Divided
+a `CompiledEstimator` and evaluated by the one kernel `_window`, which
+writes the budgets of a sweep's window in place into its spectra.csv
+table; `evaluate` is its form for one estimator.  Divided
 by its signal coefficient, a readout row reads as the signal plus an
 equivalent input noise sum_alpha mu_alpha alpha_in; the budget is the
 per-source decomposition |mu_alpha|^2 k_B Theta_alpha of the added-noise
@@ -9,7 +11,7 @@ spectrum (for the muscope force estimator, |mu_alpha|^2 times force PSDs).
 """
 
 import math
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,59 +72,91 @@ class NoiseBudget(NamedTuple):
 def evaluate(est: CompiledEstimator, freqs_hz: np.ndarray,
              before: Optional[NoiseBudget] = None,
              before_hz: float = 0.0) -> NoiseBudget:
-    """Budget of `est` over its grid `freqs_hz`: divides the row by the
-    signal coefficient, naming a source name taken twice and the first
-    frequency where the signal is 0; forms |c/s|^2 times the occupations,
-    sums the sources in order and band-integrates them in one trapezoid.
-    A sweep walked in windows passes `before`, the budget of the window
-    that ends at `before_hz`, and its band and the trapezoid from there are
-    added.  It returns only finite budgets, and names the first cell that
-    is not."""
-    if len(set(est.sources)) < len(est.sources):  # O(K)
-        twice = [src for src in est.sources if est.sources.count(src) > 1]
-        raise QNoiseError(f"estimator {est.label}: two sources are named "
-                          f"{twice[0]!r}; rename the line that takes it")
-    signal = est.coefficients[est.signal]
-    zero = signal == 0.0
-    if zero.any():
-        raise QNoiseError(
-            f"measure {est.label}: signal coefficient of line "
-            f"{est.sources[est.signal]!r} underflows to 0 at "
-            f"{freqs_hz[np.argmax(zero)]:.6g} Hz (below the smallest double)")
-    # in C order, so that the trapezoid sums each source as a 1-D call does
-    terms = np.abs(np.divide(est.coefficients, signal, order="C"))
-    terms **= 2
-    terms *= est.occupations
-    # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call set-up;
-    # each term is halved before the sum, which could overflow where the
-    # band does not
-    band = (terms[:, 0] if len(freqs_hz) == 1 and before is None else
-            np.add.reduce(np.diff(freqs_hz) * (
-                terms[:, 1:] * 0.5 + terms[:, :-1] * 0.5), axis=-1))
-    if before is not None:  # in grid order: its band, the step, this band
-        last = np.array([t[-1] for t in before.terms.values()])
-        band = np.fromiter(before.band.values(), float, len(last)) + (
-            freqs_hz[0] - before_hz) * (last * 0.5 + terms[:, 0] * 0.5) + band
-    band = band.tolist()
-    # the sources in order at every F; terms.sum(0) pairs them at F = 1
-    total = np.add.accumulate(terms, axis=0)[-1].copy()  # frees the rest
-    band_total = sum(band)
-    if not (np.isfinite(total).all() and math.isfinite(band_total)):
-        # terms are >= 0; name a source or total row, else a band or TOTAL
-        finite = np.isfinite(np.vstack([terms, total]))
-        src, at = next((src for src, v in zip(est.sources, band)
-                        if not math.isfinite(v)), "TOTAL"), ""
-        if not finite.all():
-            k, f = np.unravel_index(np.argmin(finite), finite.shape)
-            src, at = [*est.sources, "total"][k], f" at {freqs_hz[f]:.6g} Hz"
-            if k < len(terms) and not np.isfinite(
-                    np.abs(est.coefficients[k, f] / signal[f]) ** 2):
-                at += (", where its signal-normalised coefficient |c/s|^2 "
-                       "overflows")
-        raise QNoiseError(f"estimator {est.label}: source {src} has a "
-                          f"non-finite noise budget (numeric overflow){at}")
-    return NoiseBudget(dict(zip(est.sources, terms)), total,
-                       dict(zip(est.sources, band)), band_total)
+    """Budget of `est` over its grid `freqs_hz`: the kernel `_window` on
+    `est` alone.  A sweep walked in windows passes `before`, the budget of
+    the window that ends at `before_hz`, and its band and the trapezoid
+    from there are added."""
+    table = np.empty((1 + len(est.sources), len(freqs_hz)))
+    carry = before and [np.array([0.0, *values]) for values in (
+        before.band.values(), [t[-1] for t in before.terms.values()])]
+    return next(_budgets([est.sources], table, _window(
+        [est], freqs_hz, table, carry, before_hz)[0]))
+
+
+def _budgets(sources: List[List[str]], table: np.ndarray, band: np.ndarray):
+    """The `NoiseBudget` of each list of `sources` from its rows of `table`,
+    its total and then a row per source, and their `band`, as `_window`
+    wrote them."""
+    band, end = band.tolist(), 0
+    for srcs in sources:
+        bands = dict(zip(srcs, band[end + 1:]))
+        yield NoiseBudget(dict(zip(srcs, table[end + 1:])), table[end],
+                          bands, sum(bands.values()))
+        end += 1 + len(srcs)
+
+
+def _window(ests: Iterable[CompiledEstimator], freqs_hz: np.ndarray,
+            table: np.ndarray, before, before_hz: float):
+    """The budget kernel: writes each of `ests` over the grid `freqs_hz`
+    into its rows of `table` (C, F), its total then a row per source, and
+    checks it before the next is made.  It divides the row by the signal
+    coefficient, naming a source name taken twice and the first frequency
+    where the signal is 0; forms |c/s|^2 times the occupations, sums the
+    sources in order and band-integrates each in one trapezoid in Hz (the
+    value itself on a 1-point grid), from `before`, the band and last value
+    of each row over the windows that end at `before_hz`.  It returns these
+    for the window (band 0 at the totals) and names a budget that is not
+    finite by its first cell."""
+    band, end = np.zeros(len(table)), 0  # by row
+    for est in ests:
+        if len(set(est.sources)) < len(est.sources):  # O(K)
+            twice = [src for src in est.sources if est.sources.count(src) > 1]
+            raise QNoiseError(f"estimator {est.label}: two sources are named "
+                              f"{twice[0]!r}; rename the line that takes it")
+        signal = est.coefficients[est.signal]
+        zero = signal == 0.0
+        if zero.any():
+            raise QNoiseError(
+                f"measure {est.label}: signal coefficient of line "
+                f"{est.sources[est.signal]!r} underflows to 0 at "
+                f"{freqs_hz[np.argmax(zero)]:.6g} Hz (below the smallest "
+                "double)")
+        own = slice(end + 1, end + 1 + len(est.sources))  # its source rows
+        total, terms, end = table[end], table[own], own.stop
+        # C-ordered table rows: the trapezoid sums each as a 1-D call does
+        np.abs(np.divide(est.coefficients, signal, order="C"), out=terms)
+        terms **= 2
+        terms *= est.occupations
+        # the sources in order at every F; terms.sum(0) pairs them at F = 1,
+        # and accumulate's loop over F is slow on a wide window
+        total[:] = sum(terms[1:], terms[0]) if len(freqs_hz) > 8 * len(
+            terms) else np.add.accumulate(terms, axis=0)[-1]
+        # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call
+        # set-up; each term is halved before the sum, which could overflow
+        # where the band does not
+        band[own] = (terms[:, 0] if len(freqs_hz) == 1 and before is None
+                     else np.add.reduce(np.diff(freqs_hz) * (
+                         terms[:, 1:] * 0.5 + terms[:, :-1] * 0.5), axis=-1))
+        if before is not None:  # in grid order: its band, the step, this band
+            band[own] += before[0][own] + (freqs_hz[0] - before_hz) * (
+                before[1][own] * 0.5 + terms[:, 0] * 0.5)
+        values = band[own].tolist()
+        if not (np.isfinite(total).all() and math.isfinite(sum(values))):
+            # terms are >= 0; name a source or total row, else a band or TOTAL
+            finite = np.isfinite(np.vstack([terms, total]))
+            src, at = next((src for src, v in zip(est.sources, values)
+                            if not math.isfinite(v)), "TOTAL"), ""
+            if not finite.all():
+                k, f = np.unravel_index(np.argmin(finite), finite.shape)
+                src, at = [*est.sources, "total"][k], \
+                    f" at {freqs_hz[f]:.6g} Hz"
+                if k < len(terms) and not np.isfinite(
+                        np.abs(est.coefficients[k, f] / signal[f]) ** 2):
+                    at += (", where its signal-normalised coefficient "
+                           "|c/s|^2 overflows")
+            raise QNoiseError(f"estimator {est.label}: source {src} has a non-"
+                              f"finite noise budget (numeric overflow){at}")
+    return band, table[:, -1].copy()
 
 
 def snr_degradation(theta_a: float, theta_b: float, gain: complex) -> float:

@@ -9,13 +9,17 @@ sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 `run` builds one component per part of the measurement: the passive network
 (`stamp_solver`), each op-amp (`opamp_scattering`) and the muscope model.  Each
 names the sources of the measured lines it serves, gives their rows and
-energies once per window, and writes a measure's budget.csv rows.  `run` checks
-the spectra.csv header; per window it builds each measure's `CompiledEstimator`
-from its line's row and gains, evaluates it and writes the rows.  Overflow is
-named by `evaluate` and the muscope report, and nothing is written then.  The
-preset and op-amp models and json load only where a run uses them.
+energies once per window, and writes a measure's budget.csv rows.  `run` reads
+the document's declaration lists once and checks the spectra.csv header; per
+window it makes one spectra.csv table, builds each measure's
+`CompiledEstimator` from its line's row and gains and has the kernel `_window`
+write its budget into the table, carrying only the bands and last column to
+the next window; the budgets are made once, after the last.  Overflow is named
+by `_window` and the muscope report, and nothing is written then.  The preset
+and op-amp models and json load only where a run uses them.
 """
 
+import collections
 import contextlib
 import dataclasses
 import math
@@ -26,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import QNoiseError
-from .estimator import CompiledEstimator, NoiseBudget, evaluate
+from .estimator import CompiledEstimator, NoiseBudget, _budgets, _window
 from .netlist import GainDecl, MeasureDecl, NetlistDocument, OpAmpDecl, \
     PresetDecl, SweepDecl
 from .network import BLOCK_ENTRIES, NoiseLine, capacitor_impedance, \
@@ -39,6 +43,11 @@ if TYPE_CHECKING:
 __all__ = ["run"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
+
+#: a document's declaration lists, read once per run, as each property of
+#: a `NetlistDocument` scans every declaration
+_Lists = collections.namedtuple(
+    "_Lists", "lines caps inds opamps gains sweep measures preset")
 
 
 def sweep_grid(sweep: SweepDecl) -> np.ndarray:
@@ -73,7 +82,7 @@ def preset_config(preset: PresetDecl,
         else value for key, value in params.items()})
 
 
-def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
+def _check_structure(doc: _Lists, measures: List[MeasureDecl],
                      opamp_by_line: Dict[str, OpAmpDecl]):
     """Reject, on declared line names, before any numerics: a gain on a
     line that none of the field `measures` reads; a measure whose signal
@@ -125,7 +134,7 @@ def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
                           "effect")
 
 
-def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
+def _passive_rows(doc: _Lists, measures: List[MeasureDecl],
                   opamp_by_line: Dict[str, OpAmpDecl]):
     """The passive network (every line outside an op-amp) as a component:
     the lines of `measures` in it, their sources, the network's lines;
@@ -152,7 +161,7 @@ def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
     return measured, [line.label for line in lines], rows, NoiseBudget.records
 
 
-def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl):
+def _opamp_rows(doc: _Lists, decl: OpAmpDecl):
     """An op-amp as a component: its two lines, their sources, its lines and
     noise pair (l, r, a, a'); `rows(omegas)`, one solve for each line's row
     (4, F) over them and their energies (4, F), the noise pair's flat
@@ -220,6 +229,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         overrides: Optional[Dict[str, float]] = None) -> Dict[str, str]:
     """Execute a parsed netlist: sweep, write spectra.csv and budget.csv
     (plus budget.json with --json).  Returns the written paths."""
+    doc = _Lists(*(getattr(doc, name) for name in _Lists._fields))
     if doc.sweep is None and doc.preset is None:
         raise QNoiseError("document has no sweep")
     freqs_hz = sweep_grid(doc.sweep or DEFAULT_PRESET_SWEEP)
@@ -260,7 +270,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                    for m in measures]
         header = ["frequency_Hz"] + [f"{m.label}_{src}" for m, srcs in zip(
             measures, sources) for src in ["total", *srcs]]
-        owners = {}  # by column; one source named twice is left to evaluate
+        owners = {}  # by column; one source named twice is left to _window
         for column, owner in zip(header, ["the frequency"] + [
                 f"{f'source {src}' if k else 'the total'} of estimator "
                 f"{m.label}" for m, srcs in zip(measures, sources)
@@ -273,26 +283,26 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         # passive row entries), of 2 points at least (a band is the value
         # itself only on a one-point sweep)
         window = max(2, BLOCK_ENTRIES // len(header))
-        budgets = [None] * len(measures)  # over the windows so far
+        carry = None  # the band and last value of each row, windows so far
         for start in range(0, len(freqs_hz), window):
             freqs = freqs_hz[start:start + window]
             omegas = 2.0 * math.pi * freqs
+            table = None  # the last window's, freed before solving
             solved = {line: row for _, _, rows, _ in components  # by line
                       for line, row in rows(omegas).items()}
-            columns = [freqs]
-            for k, m in enumerate(measures):
-                est = _field_estimator(m, sources[k], gains[m.line],
-                                       *solved[m.line], omegas)
-                # with the budget of the window that ends before start
-                budget = budgets[k] = evaluate(est, freqs, budgets[k],
-                                               freqs_hz[start - 1])
-                columns += [budget.total, *budget.terms.values()]
+            table = np.empty((len(header), len(freqs)))  # spectra.csv
+            table[0] = freqs  # then the measures' rows, each estimator
+            carry = _window((_field_estimator(  # made once the one before passed
+                m, srcs, gains[m.line], *solved[m.line], omegas)
+                for m, srcs in zip(measures, sources)), freqs, table[1:],
+                carry, freqs_hz[start - 1])
+            del solved  # before formatting
             # the header goes once, before the first window
-            write(paths[0], _csv_pieces([] if start else header, columns))
-            del columns, est, budget, solved  # before solving
+            write(paths[0], _csv_pieces([] if start else header, table))
 
-        records = [r for m, b in zip(measures, budgets)  # budget.csv and .json
-                   for r in served[m.line][1](b, m.label)]
+        records = [r for m, b in zip(measures, _budgets(  # budget.csv, .json
+            sources, table[1:], carry[0]))  # from the sweep's bands
+            for r in served[m.line][1](b, m.label)]
         lines = ["estimator,source,band_integrated,fraction_of_total,dominant"]
         for r in records:
             tail = (f"{_FMT % r['fraction_of_total']},{int(r['dominant'])}"
@@ -307,10 +317,10 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
     return dict(zip(("spectra", "budget", "json"), paths))
 
 
-def _csv_pieces(header: List[str], columns: List[np.ndarray]):
-    """spectra.csv as bytes: the header if any, then the rows in as few
-    even pieces of about BLOCK_ENTRIES // 4 cells as hold them, each
-    written by `_csv_rows`."""
+def _csv_pieces(header: List[str], columns):
+    """spectra.csv as bytes: the header if any, then the rows of the
+    `columns` (C, F), a table or its list of rows, in as few even pieces of
+    about BLOCK_ENTRIES // 4 cells as hold them, each by `_csv_rows`."""
     table = np.asarray(columns).T
     pieces = max(1, min(len(table), -(-table.size * 4 // BLOCK_ENTRIES)))
     yield (",".join(header) + "\n").encode() if header else b""

@@ -1,11 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from qnoise.errors import DomainError, QNoiseError
-from qnoise.estimator import (CompiledEstimator, NoiseBudget, evaluate,
-                              snr_degradation)
+from qnoise.estimator import (CompiledEstimator, NoiseBudget, _budgets,
+                              _window, evaluate, snr_degradation)
 
 ONE_POINT = np.array([1e3])
 
@@ -315,3 +316,75 @@ class TestIntegrateBudget:
                     assert budget.total[f] == total
                 if len(freqs) == 1:
                     assert budget.total[0] == budget.band_total
+
+
+class TestWindowKernel:
+    """The sweep's one pass per window writes every budget of a window
+    into one table; each estimator's rows and bands must be those of
+    `evaluate` on the estimator alone, and of the formulas row by row."""
+
+    @staticmethod
+    def estimators(rng, freqs):
+        """Three estimators of 1 to 41 sources on a random signal source;
+        the last has flat (K, 1) occupations, as the muscope's."""
+        ests = []
+        for k, flat in ((1, False), (41, False), (5, True)):
+            est = random_estimator(rng, k, freqs)
+            ests.append(est._replace(
+                label=f"e{len(ests)}", signal=int(rng.integers(k)),
+                coefficients=est.coefficients * 10.0 ** rng.uniform(
+                    -3.0, 3.0, est.coefficients.shape),
+                occupations=est.occupations[:, :1] if flat
+                else est.occupations))
+        return ests
+
+    @staticmethod
+    def by_rows(est, freqs, before, before_hz):
+        """Terms, total and bands, one source row at a time: the total
+        adds the rows in order, each band is a 1-D trapezoid with each
+        term halved before the sum, continued from `before`."""
+        signal = est.coefficients[est.signal]
+        terms = [np.abs(c / signal) ** 2 * np.broadcast_to(o, len(freqs))
+                 for c, o in zip(est.coefficients, est.occupations)]
+        bands = []
+        for src, t in zip(est.sources, terms):
+            band = t[0] if len(freqs) == 1 and before is None else \
+                np.add.reduce(np.diff(freqs) * (t[1:] * 0.5 + t[:-1] * 0.5))
+            if before is not None:
+                band = before.band[src] + (freqs[0] - before_hz) * (
+                    before.terms[src][-1] * 0.5 + t[0] * 0.5) + band
+            bands.append(float(band))
+        return terms, functools.reduce(np.add, terms), bands
+
+    @pytest.mark.parametrize("n_points, cuts", [
+        (1, [0, 1]), (2, [0, 2]), (2, [0, 1, 2]), (79, [0, 79]),
+        (79, [0, 2, 40, 78, 79]), (500, [0, 79, 158, 500])])
+    def test_window_equals_evaluate_bit_for_bit(self, n_points, cuts):
+        rng = np.random.default_rng(n_points + len(cuts))
+        freqs = np.logspace(3.0, 8.0, n_points)
+        ests = self.estimators(rng, freqs)
+        carry, alone, rows = None, [None] * len(ests), [None] * len(ests)
+        for start, stop in zip(cuts, cuts[1:]):
+            part = freqs[start:stop]
+            window = [est._replace(
+                coefficients=est.coefficients[:, start:stop],
+                occupations=est.occupations[:, start:stop]
+                if est.occupations.shape[1] > 1 else est.occupations)
+                for est in ests]
+            table = np.empty((sum(1 + len(e.sources) for e in ests),
+                              len(part)))
+            carry = _window(iter(window), part, table, carry,
+                            freqs[start - 1])
+            budgets = _budgets([est.sources for est in window], table,
+                               carry[0])
+            for k, (est, budget) in enumerate(zip(window, budgets)):
+                terms, total, bands = self.by_rows(est, part, rows[k],
+                                                   freqs[start - 1])
+                alone[k] = evaluate(est, part, alone[k], freqs[start - 1])
+                for got in (budget, alone[k]):
+                    assert all(np.array_equal(got.terms[src], t) for src, t
+                               in zip(est.sources, terms))
+                    assert np.array_equal(got.total, total)
+                    assert list(got.band.values()) == bands
+                    assert got.band_total == sum(bands)
+                rows[k] = budget

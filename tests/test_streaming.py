@@ -164,3 +164,81 @@ def test_no_output_renamed_while_another_name_is_a_directory(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["budget.csv",
                                                       "spectra.csv"]
     assert (out / "spectra.csv").read_bytes() == b"earlier spectra\n"
+
+
+def test_peak_memory_of_the_bench_ladder(tmp_path):
+    # the tracemalloc peak of one run of the 40-line bench ladder at 500
+    # points, after a warm-up run: each window's budgets are written into
+    # its spectra.csv table, with no copy of its columns
+    doc = parse_netlist(ladder_text(0, 40, 500))
+    sweep.run(doc, str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        sweep.run(doc, str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15e6, peak
+
+
+#: two measures whose budgets fail in windows of 2 points
+#: (BLOCK_ENTRIES 12 over 5 columns) or in one window (BLOCK_ENTRIES
+#: 16384): the band of m2 overflows in the first window and that of m1 in
+#: the second, so m2 is named there, m1 in one window
+TWO_BANDS = """line a R=50 T=1e301
+line b R=50 T=1e302
+sweep 1e30 8e30 8 lin
+measure a as m1 signal=a
+measure b as m2 signal=b
+"""
+
+#: an op-amp whose 1e300 F feedback leaves its signal coefficient 0, and a
+#: gain whose noise line takes the name of a line, read in either order
+ZERO_AND_TWICE = """line s R=50 T=1
+line d R=50 T=0
+opamp u1 left=s right=d Zf=cap:1e300 R_a=1k Theta_a=1e13
+line a R=50 T=1
+line g1_b R=50 T=300
+cap c1 C=1n ports=(a,g1_b)
+gain g1 in=a G=10 T_b=5
+sweep 1e22 1e23 8 log
+"""
+
+#: the band of m1 overflows where the signal of m2 is 0
+BAND_AND_ZERO = """line a R=50 T=1e302
+line s R=50 T=1
+line d R=50 T=0
+opamp u1 left=s right=d Zf=cap:1e300 R_a=1k Theta_a=1e21
+sweep 1e30 8e30 8 lin
+measure a as m1 signal=a
+measure d as m2 signal=s
+"""
+
+BAND = "source {} has a non-finite noise budget (numeric overflow)"
+ZERO = ("measure {}: signal coefficient of line 's' underflows to 0 at "
+        "1e+22 Hz (below the smallest double)")
+TWICE = "estimator {}: two sources are named 'g1_b'; rename the line " \
+    "that takes it"
+
+
+@pytest.mark.parametrize("text, entries, message", [
+    (TWO_BANDS, 12, "estimator m2: " + BAND.format("b")),
+    (TWO_BANDS, 16384, "estimator m1: " + BAND.format("a")),
+    (ZERO_AND_TWICE + "measure d as m1 signal=s\nmeasure a as m2 signal=a\n",
+     12, ZERO.format("m1")),
+    (ZERO_AND_TWICE + "measure a as m1 signal=a\nmeasure d as m2 signal=s\n",
+     12, TWICE.format("m1")),
+    (BAND_AND_ZERO, 12, "estimator m1: " + BAND.format("a")),
+], ids=["second_measure_first_window", "one_window", "zero_then_twice",
+        "twice_then_zero", "band_then_zero"])
+def test_first_error_of_a_multi_measure_run(text, entries, message, tmp_path,
+                                            monkeypatch, capsys):
+    # the first window that fails, in it the first measure, and in that
+    # measure its first check: a source named twice, a zero signal, then
+    # the first cell or band that is not finite
+    netlist = tmp_path / "net.qn"
+    netlist.write_text(text)
+    monkeypatch.setattr(sweep, "BLOCK_ENTRIES", entries)
+    assert main(["run", str(netlist), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"qnoise: {message}\n"
+    assert not (tmp_path / "out").exists()
