@@ -108,6 +108,7 @@ def _window(ests: Iterable[CompiledEstimator], freqs_hz: np.ndarray,
     for the window (band 0 at the totals) and names a budget that is not
     finite by its first cell."""
     band, end = np.zeros(len(table)), 0  # by row
+    step = freqs_hz[1:] - freqs_hz[:-1]  # np.diff, without its set-up
     for est in ests:
         if len(set(est.sources)) < len(est.sources):  # O(K)
             twice = [src for src in est.sources if est.sources.count(src) > 1]
@@ -127,19 +128,19 @@ def _window(ests: Iterable[CompiledEstimator], freqs_hz: np.ndarray,
         np.abs(np.divide(est.coefficients, signal, order="C"), out=terms)
         terms **= 2
         terms *= est.occupations
-        # the sources in order at every F; terms.sum(0) pairs them at F = 1,
-        # and accumulate's loop over F is slow on a wide window
-        total[:] = sum(terms[1:], terms[0]) if len(freqs_hz) > 8 * len(
-            terms) else np.add.accumulate(terms, axis=0)[-1]
+        # the sources in order: reduce adds row after row, but pairs the
+        # sources of a 1-point window, one contiguous run
+        total[:] = np.add.reduce(terms, axis=0) if len(freqs_hz) > 1 else \
+            np.add.accumulate(terms, axis=0)[-1]
         # np.trapezoid(terms, freqs_hz, axis=-1), without its per-call
         # set-up; each term is halved before the sum, which could overflow
         # where the band does not
+        half = terms * 0.5
         band[own] = (terms[:, 0] if len(freqs_hz) == 1 and before is None
-                     else np.add.reduce(np.diff(freqs_hz) * (
-                         terms[:, 1:] * 0.5 + terms[:, :-1] * 0.5), axis=-1))
+                     else (step * (half[:, 1:] + half[:, :-1])).sum(-1))
         if before is not None:  # in grid order: its band, the step, this band
             band[own] += before[0][own] + (freqs_hz[0] - before_hz) * (
-                before[1][own] * 0.5 + terms[:, 0] * 0.5)
+                before[1][own] * 0.5 + half[:, 0])
         values = band[own].tolist()
         if not (np.isfinite(total).all() and math.isfinite(sum(values))):
             # terms are >= 0; name a source or total row, else a band or TOTAL

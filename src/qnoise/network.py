@@ -220,8 +220,7 @@ def stamp_solver(lines: Sequence[NoiseLine],
     an x that overflows is rejected by the first element whose own reactance
     overflows there, else by the line or pair of lines.  It forms x, its
     squares and a in one buffer (slots + 1, F) kept for the run, as wide as
-    its widest block; one loop over even blocks fills the rows, which the
-    caller owns, each block of several through a second buffer."""
+    its widest block; one block loop fills the rows, which the caller owns."""
     labels = [line.label for line in lines]
     if not set(outputs) <= set(labels):
         raise ModelError(f"unknown output lines {set(outputs) - set(labels)}")
@@ -235,8 +234,7 @@ def stamp_solver(lines: Sequence[NoiseLine],
     plan = _plan(len(lines), ((x_a != 0.0) | (x_b != 0.0)).tobytes())
     slot_a, slot_b = (m[plan[0], plan[1], None] for m in (x_a, x_b))
     slot_dd = d[plan[0], None] * d[plan[1], None]
-    work = [np.empty((len(slot_a) + 1, 0), dtype=complex),  # a, and the
-            np.empty(0, dtype=complex)]  # rows of a block: kept per run
+    work = [np.empty((len(slot_a) + 1, 0), dtype=complex)]  # a, kept per run
 
     def solve_block(w: np.ndarray, s: np.ndarray):
         if work[0].shape[1] < len(w):  # as wide as the widest block yet
@@ -265,17 +263,10 @@ def stamp_solver(lines: Sequence[NoiseLine],
         _eliminate(plan, a, rows, norm, 0.0, s)
 
     def solve(omegas: np.ndarray) -> np.ndarray:
-        blocks = -(-len(omegas) // max(1, 4 * BLOCK_ENTRIES // len(slot_a)))
+        block = max(1, 4 * BLOCK_ENTRIES // len(slot_a))  # held in cache
         s = np.empty((len(rows), len(lines) + 1, len(omegas)), dtype=complex)
-        for i in range(blocks):  # even blocks, each held in cache; s has
-            f, to = len(omegas) * i // blocks, len(omegas) * (i + 1) // blocks
-            b = s[..., f:to]  # each row contiguous in F, so each of several
-            if blocks > 1:  # blocks is solved in a buffer kept for the run,
-                if work[1].size < b.size:  # as a strided view is slow to fill
-                    work[1] = np.empty(b.size, dtype=complex)
-                b = work[1][:b.size].reshape(b.shape)
-            solve_block(omegas[f:to], b)
-            s[..., f:to] = b  # one block: onto itself, a no-op
+        for f in range(0, len(omegas), block):  # each row contiguous in F
+            solve_block(omegas[f:f + block], s[..., f:f + block])
         return s[:, :-1].transpose(2, 0, 1)  # (F, k, n)
     return solve
 

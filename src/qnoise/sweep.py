@@ -9,17 +9,15 @@ sum |c/s|^2 k_B Theta; the muscope force estimator is reported in
 `run` builds one component per part of the measurement: the passive network
 (`stamp_solver`), each op-amp (`opamp_scattering`) and the muscope model.  Each
 names the sources of the measured lines it serves, gives their rows and
-energies once per window, and writes a measure's budget.csv rows.  `run` reads
-the document's declaration lists once and checks the spectra.csv header; per
-window it makes one spectra.csv table, builds each measure's
-`CompiledEstimator` from its line's row and gains and has the kernel `_window`
-write its budget into the table, carrying only the bands and last column to
-the next window; the budgets are made once, after the last.  Overflow is named
-by `_window` and the muscope report, and nothing is written then.  The preset
-and op-amp models and json load only where a run uses them.
+energies once per window, and writes a measure's budget.csv rows.  `run` checks
+the spectra.csv header; per window it makes one spectra.csv table, builds each
+measure's `CompiledEstimator` from its line's row and gains and has the kernel
+`_window` write its budget into the table, carrying only the bands and last
+column to the next window; the budgets are made once, after the last.  Overflow
+is named by `_window` and the muscope report, and nothing is written then.  The
+preset and op-amp models and json load only where a run uses them.
 """
 
-import collections
 import contextlib
 import dataclasses
 import math
@@ -43,11 +41,6 @@ if TYPE_CHECKING:
 __all__ = ["run"]
 
 DEFAULT_PRESET_SWEEP = SweepDecl(1e-4, 1e-3, 1000, "log")
-
-#: a document's declaration lists, read once per run, as each property of
-#: a `NetlistDocument` scans every declaration
-_Lists = collections.namedtuple(
-    "_Lists", "lines caps inds opamps gains sweep measures preset")
 
 
 def sweep_grid(sweep: SweepDecl) -> np.ndarray:
@@ -82,7 +75,7 @@ def preset_config(preset: PresetDecl,
         else value for key, value in params.items()})
 
 
-def _check_structure(doc: _Lists, measures: List[MeasureDecl],
+def _check_structure(doc: NetlistDocument, measures: List[MeasureDecl],
                      opamp_by_line: Dict[str, OpAmpDecl]):
     """Reject, on declared line names, before any numerics: a gain on a
     line that none of the field `measures` reads; a measure whose signal
@@ -134,7 +127,7 @@ def _check_structure(doc: _Lists, measures: List[MeasureDecl],
                           "effect")
 
 
-def _passive_rows(doc: _Lists, measures: List[MeasureDecl],
+def _passive_rows(doc: NetlistDocument, measures: List[MeasureDecl],
                   opamp_by_line: Dict[str, OpAmpDecl]):
     """The passive network (every line outside an op-amp) as a component:
     the lines of `measures` in it, their sources, the network's lines;
@@ -161,7 +154,7 @@ def _passive_rows(doc: _Lists, measures: List[MeasureDecl],
     return measured, [line.label for line in lines], rows, NoiseBudget.records
 
 
-def _opamp_rows(doc: _Lists, decl: OpAmpDecl):
+def _opamp_rows(doc: NetlistDocument, decl: OpAmpDecl):
     """An op-amp as a component: its two lines, their sources, its lines and
     noise pair (l, r, a, a'); `rows(omegas)`, one solve for each line's row
     (4, F) over them and their energies (4, F), the noise pair's flat
@@ -229,7 +222,6 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
         overrides: Optional[Dict[str, float]] = None) -> Dict[str, str]:
     """Execute a parsed netlist: sweep, write spectra.csv and budget.csv
     (plus budget.json with --json).  Returns the written paths."""
-    doc = _Lists(*(getattr(doc, name) for name in _Lists._fields))
     if doc.sweep is None and doc.preset is None:
         raise QNoiseError("document has no sweep")
     freqs_hz = sweep_grid(doc.sweep or DEFAULT_PRESET_SWEEP)
@@ -292,7 +284,7 @@ def run(doc: NetlistDocument, out_dir: str, json_mirror: bool = False,
                       for line, row in rows(omegas).items()}
             table = np.empty((len(header), len(freqs)))  # spectra.csv
             table[0] = freqs  # then the measures' rows, each estimator
-            carry = _window((_field_estimator(  # made once the one before passed
+            carry = _window((_field_estimator(  # each once the last passed
                 m, srcs, gains[m.line], *solved[m.line], omegas)
                 for m, srcs in zip(measures, sources)), freqs, table[1:],
                 carry, freqs_hz[start - 1])

@@ -475,32 +475,6 @@ class TestStampSolver:
             self.assert_rows_contiguous(got)
             solved += 1
 
-    def test_a_window_of_two_blocks_and_a_point(self, monkeypatch):
-        # blocks of at most 4 frequencies: a window of 9, two blocks and a
-        # point, is solved as 3 even blocks through the buffer kept for the
-        # run, as are windows that grow it (5 as 2 + 3, then 8 as 4 + 4);
-        # each gives the rows of one frequency at a time, contiguous over
-        # frequency, and a later window leaves the earlier rows as they were
-        rng = np.random.default_rng(17)
-        omegas, solved = self.OMEGAS[:9], 0
-        for lines, elements, outputs in [self.bench_ladder()] + [
-                self.random_network(rng) for _ in range(30)]:
-            a, b = self.stamps(len(lines), elements)
-            slots = len(network._plan(len(lines), (
-                (a != 0.0) | (b != 0.0)).tobytes())[0])
-            monkeypatch.setattr(network, "BLOCK_ENTRIES", slots)
-            solve = stamp_solver(lines, elements, outputs)
-            want = self.outcome(lambda: np.concatenate(
-                [solve(omegas[f:f + 1]) for f in range(len(omegas))]))
-            if isinstance(want, str):
-                continue
-            got = [solve(omegas[:n]) for n in (5, 9, 8, 9)]
-            for rows in got:
-                assert np.array_equal(rows, want[:len(rows)])
-                self.assert_rows_contiguous(rows)
-            solved += 1
-        assert solved >= 15
-
     @staticmethod
     def assert_rows_contiguous(amplitude):
         # the sweep reads each row (n, F) as amplitude[:, k, :].T
